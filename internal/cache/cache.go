@@ -94,92 +94,42 @@ type Cache struct {
 	san      sanState // occupancy-conservation counters; zero-size without the simcheck tag
 }
 
-// geometry is the validated shape of a cache configuration.
-type geometry struct {
-	lines    uint64
-	numSets  uint64
-	lineBits uint
-}
-
-// resolve validates cfg and derives its geometry.
-func resolve(cfg Config) (geometry, error) {
-	var g geometry
+// New builds a cache from cfg. It returns an error when the geometry does
+// not divide evenly or set/line counts are not powers of two.
+func New(cfg Config) (*Cache, error) {
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		return g, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
+		return nil, fmt.Errorf("cache %s: line size %d not a power of two", cfg.Name, cfg.LineBytes)
 	}
 	if cfg.Ways <= 0 {
-		return g, fmt.Errorf("cache %s: ways %d must be positive", cfg.Name, cfg.Ways)
+		return nil, fmt.Errorf("cache %s: ways %d must be positive", cfg.Name, cfg.Ways)
 	}
-	g.lines = cfg.SizeBytes / cfg.LineBytes
-	if g.lines == 0 || cfg.SizeBytes%cfg.LineBytes != 0 {
-		return g, fmt.Errorf("cache %s: size %d not a multiple of line size %d", cfg.Name, cfg.SizeBytes, cfg.LineBytes)
+	lines := cfg.SizeBytes / cfg.LineBytes
+	if lines == 0 || cfg.SizeBytes%cfg.LineBytes != 0 {
+		return nil, fmt.Errorf("cache %s: size %d not a multiple of line size %d", cfg.Name, cfg.SizeBytes, cfg.LineBytes)
 	}
-	if g.lines%uint64(cfg.Ways) != 0 {
-		return g, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, g.lines, cfg.Ways)
+	if lines%uint64(cfg.Ways) != 0 {
+		return nil, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
 	}
-	g.numSets = g.lines / uint64(cfg.Ways)
-	if g.numSets&(g.numSets-1) != 0 {
-		return g, fmt.Errorf("cache %s: %d sets not a power of two", cfg.Name, g.numSets)
+	numSets := lines / uint64(cfg.Ways)
+	if numSets&(numSets-1) != 0 {
+		return nil, fmt.Errorf("cache %s: %d sets not a power of two", cfg.Name, numSets)
 	}
+	var lineBits uint
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
-		g.lineBits++
+		lineBits++
 	}
-	return g, nil
-}
-
-// Backing is an externally-owned frame array a Cache can adopt instead of
-// allocating its own (see NewWindowed). Its elements are opaque outside
-// this package; callers size one with make(cache.Backing, n) where n comes
-// from BackingLines — typically one lane's window of a batch-wide
-// struct-of-arrays allocation (internal/simbatch's state plane).
-type Backing []way
-
-// BackingLines validates cfg's geometry and returns the number of line
-// frames a Cache built from it holds — the exact length of the Backing
-// window NewWindowed requires.
-func BackingLines(cfg Config) (uint64, error) {
-	g, err := resolve(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return g.lines, nil
-}
-
-// New builds a cache from cfg with a self-owned frame array. It returns an
-// error when the geometry does not divide evenly or set/line counts are not
-// powers of two.
-func New(cfg Config) (*Cache, error) {
-	return NewWindowed(cfg, nil)
-}
-
-// NewWindowed is New adopting an externally-owned frame window: backing
-// must be nil (a private array is allocated, exactly New's behaviour) or
-// hold BackingLines(cfg) frames. The window is reset to the empty-cache
-// state on adoption — every frame invalidated, recency cleared — so reusing
-// a window still dirty from a retired simulation is indistinguishable from
-// a fresh allocation.
-func NewWindowed(cfg Config, backing Backing) (*Cache, error) {
-	g, err := resolve(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if backing == nil {
-		backing = make(Backing, g.lines)
-	} else if uint64(len(backing)) != g.lines {
-		return nil, fmt.Errorf("cache %s: backing window holds %d frames, geometry needs %d",
-			cfg.Name, len(backing), g.lines)
-	}
-	for i := range backing {
-		backing[i] = way{tag: invalidTag}
+	sets := make([]way, lines)
+	for i := range sets {
+		sets[i].tag = invalidTag
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     backing,
-		numSets:  g.numSets,
-		setMask:  g.numSets - 1,
-		setBits:  uint(bitsFor(g.numSets)),
+		sets:     sets,
+		numSets:  numSets,
+		setMask:  numSets - 1,
+		setBits:  uint(bitsFor(numSets)),
 		ways:     uint64(cfg.Ways),
-		lineBits: g.lineBits,
+		lineBits: lineBits,
 	}, nil
 }
 

@@ -38,7 +38,6 @@ func TestMemoKeyCoversResultAffectingParams(t *testing.T) {
 
 	invariant := []func(*Params){
 		func(p *Params) { p.Workers += 3 },
-		func(p *Params) { p.Batch += 3 },
 	}
 	for i, mut := range invariant {
 		p := DefaultParams()

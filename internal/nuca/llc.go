@@ -207,36 +207,6 @@ type LLC struct {
 // New builds the LLC. wear must be configured with matching bank count and
 // frames per bank.
 func New(cfg Config, wear *rram.Wear) (*LLC, error) {
-	return NewWindowed(cfg, wear, nil, nil)
-}
-
-// BackingLines validates cfg's bank geometry and returns the total number
-// of line frames across all banks — the exact length of the cache.Backing
-// window NewWindowed requires.
-func BackingLines(cfg Config) (uint64, error) {
-	if cfg.NumBanks <= 0 || cfg.NumBanks&(cfg.NumBanks-1) != 0 {
-		return 0, fmt.Errorf("nuca: %d banks must be a positive power of two", cfg.NumBanks)
-	}
-	per, err := cache.BackingLines(cache.Config{
-		Name:      "L3.bank0",
-		SizeBytes: cfg.BankBytes,
-		Ways:      cfg.Ways,
-		LineBytes: cfg.LineBytes,
-		Latency:   cfg.BankLatency,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return uint64(cfg.NumBanks) * per, nil
-}
-
-// NewWindowed is New adopting externally-owned state windows: frames must
-// be nil (each bank allocates privately, exactly New's behaviour) or hold
-// BackingLines(cfg) line frames, split bank-major across the NumBanks bank
-// caches; bankFree must be nil or hold NumBanks bank-free timestamps,
-// zeroed on adoption. The windowed caches reset their sub-windows
-// themselves, so a dirty window behaves like a fresh allocation.
-func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []uint64) (*LLC, error) {
 	if cfg.NumBanks <= 0 || cfg.NumBanks&(cfg.NumBanks-1) != 0 {
 		return nil, fmt.Errorf("nuca: %d banks must be a positive power of two", cfg.NumBanks)
 	}
@@ -255,28 +225,15 @@ func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []u
 		return nil, fmt.Errorf("nuca: wear tracker geometry (%d banks x %d frames) does not match LLC (%d x %d)",
 			wc.Banks, wc.FramesPerBank, cfg.NumBanks, cfg.BankBytes/cfg.LineBytes)
 	}
-	linesPerBank := cfg.BankBytes / cfg.LineBytes
-	if frames != nil && uint64(len(frames)) != uint64(cfg.NumBanks)*linesPerBank {
-		return nil, fmt.Errorf("nuca: frame window holds %d lines, geometry needs %d",
-			len(frames), uint64(cfg.NumBanks)*linesPerBank)
-	}
-	if bankFree != nil && len(bankFree) != cfg.NumBanks {
-		return nil, fmt.Errorf("nuca: bank-free window holds %d stamps, geometry needs %d",
-			len(bankFree), cfg.NumBanks)
-	}
 	l := &LLC{cfg: cfg, wear: wear}
 	for b := 0; b < cfg.NumBanks; b++ {
-		var win cache.Backing
-		if frames != nil {
-			win = frames[uint64(b)*linesPerBank : uint64(b+1)*linesPerBank]
-		}
-		c, err := cache.NewWindowed(cache.Config{
+		c, err := cache.New(cache.Config{
 			Name:      fmt.Sprintf("L3.bank%d", b),
 			SizeBytes: cfg.BankBytes,
 			Ways:      cfg.Ways,
 			LineBytes: cfg.LineBytes,
 			Latency:   cfg.BankLatency,
-		}, win)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -292,13 +249,8 @@ func NewWindowed(cfg Config, wear *rram.Wear, frames cache.Backing, bankFree []u
 	if cfg.Policy == NaiveWL {
 		l.dir = make(map[uint64]int)
 	}
-	l.frames = linesPerBank
-	if bankFree == nil {
-		bankFree = make([]uint64, cfg.NumBanks)
-	} else {
-		clear(bankFree)
-	}
-	l.bankFree = bankFree
+	l.frames = cfg.BankBytes / cfg.LineBytes
+	l.bankFree = make([]uint64, cfg.NumBanks)
 	if cfg.WriteLatency == 0 {
 		l.cfg.WriteLatency = cfg.BankLatency
 	}

@@ -46,8 +46,7 @@ func DefaultConfig() Config {
 }
 
 // Wear tracks per-frame write counts for every LLC bank. Frame counters
-// are one flat bank-major array so a batch harness can stack many Wears'
-// state into one backing allocation (see NewWindowed).
+// are one flat bank-major array.
 type Wear struct {
 	cfg        Config
 	frames     []uint32 // [bank*FramesPerBank+frame] -> writes
@@ -56,58 +55,17 @@ type Wear struct {
 	san        sanState // wear-monotonicity shadow; zero-size without the simcheck tag
 }
 
-// validate checks cfg's wear-model parameters.
-func validate(cfg Config) error {
+// New builds the wear tracker.
+func New(cfg Config) (*Wear, error) {
 	if cfg.Banks <= 0 || cfg.FramesPerBank == 0 {
-		return fmt.Errorf("rram: banks %d / frames %d must be positive", cfg.Banks, cfg.FramesPerBank)
+		return nil, fmt.Errorf("rram: banks %d / frames %d must be positive", cfg.Banks, cfg.FramesPerBank)
 	}
 	if cfg.Endurance <= 0 || cfg.ClockHz <= 0 || cfg.CapYears <= 0 {
-		return fmt.Errorf("rram: endurance, clock and cap must be positive")
-	}
-	return nil
-}
-
-// Backing is an externally-owned frame-counter array a Wear can adopt
-// instead of allocating its own (see NewWindowed). Size one with
-// make(rram.Backing, n) where n comes from BackingWords.
-type Backing []uint32
-
-// BackingWords validates cfg and returns the number of uint32 frame
-// counters a Wear built from it holds — the exact length NewWindowed
-// requires of a non-nil backing.
-func BackingWords(cfg Config) (uint64, error) {
-	if err := validate(cfg); err != nil {
-		return 0, err
-	}
-	return uint64(cfg.Banks) * cfg.FramesPerBank, nil
-}
-
-// New builds the wear tracker with self-owned frame counters.
-func New(cfg Config) (*Wear, error) {
-	return NewWindowed(cfg, nil)
-}
-
-// NewWindowed is New adopting an externally-owned frame-counter window:
-// backing must be nil (a private array is allocated, exactly New's
-// behaviour) or hold BackingWords(cfg) counters, which are zeroed on
-// adoption so a window still dirty from a retired simulation behaves like
-// a fresh allocation.
-func NewWindowed(cfg Config, backing Backing) (*Wear, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	words := uint64(cfg.Banks) * cfg.FramesPerBank
-	if backing == nil {
-		backing = make(Backing, words)
-	} else if uint64(len(backing)) != words {
-		return nil, fmt.Errorf("rram: backing window holds %d counters, config needs %d",
-			len(backing), words)
-	} else {
-		clear(backing)
+		return nil, fmt.Errorf("rram: endurance, clock and cap must be positive")
 	}
 	return &Wear{
 		cfg:        cfg,
-		frames:     backing,
+		frames:     make([]uint32, uint64(cfg.Banks)*cfg.FramesPerBank),
 		bankWrites: make([]uint64, cfg.Banks),
 		maxFrame:   make([]uint32, cfg.Banks),
 	}, nil

@@ -223,6 +223,26 @@ func TestRunZeroInstrIsNoop(t *testing.T) {
 	}
 }
 
+// TestRunMeasuredCycleBudget drives a run into the MaxRunCycles safety
+// bound: RunMeasured must stop with the phase-wrapped budget error rather
+// than spin, and report no Result.
+func TestRunMeasuredCycleBudget(t *testing.T) {
+	cfg := CharacterisationConfig()
+	cfg.MaxRunCycles = 64 // trips during warmup
+	s, err := New(cfg, []trace.Profile{trace.MustProfile("mcf")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunMeasured(1_000, 5_000)
+	const want = "warmup: sim: exceeded 64 cycles without reaching 1000 instructions per core"
+	if err == nil || err.Error() != want {
+		t.Fatalf("RunMeasured error %v, want %q", err, want)
+	}
+	if res.IPC != nil {
+		t.Errorf("failed run returned a Result: %+v", res)
+	}
+}
+
 func TestInclusionInvariant(t *testing.T) {
 	// Sample addresses from a core's generator regions: any line in L2 must
 	// be in the LLC (inclusive hierarchy via shootdowns).

@@ -94,71 +94,31 @@ type TLB struct {
 	stats     Stats
 }
 
-// validate checks cfg's geometry and returns the derived set count.
-func validate(cfg Config) (uint64, error) {
+// New validates cfg and builds the TLB.
+func New(cfg Config) (*TLB, error) {
 	if cfg.Ways <= 0 || cfg.Entries <= 0 || cfg.Entries%cfg.Ways != 0 {
-		return 0, fmt.Errorf("tlb: %d entries not divisible into %d ways", cfg.Entries, cfg.Ways)
+		return nil, fmt.Errorf("tlb: %d entries not divisible into %d ways", cfg.Entries, cfg.Ways)
 	}
 	numSets := uint64(cfg.Entries / cfg.Ways)
 	if numSets&(numSets-1) != 0 {
-		return 0, fmt.Errorf("tlb: %d sets not a power of two", numSets)
+		return nil, fmt.Errorf("tlb: %d sets not a power of two", numSets)
 	}
 	if cfg.PageBytes == 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
-		return 0, fmt.Errorf("tlb: page size %d not a power of two", cfg.PageBytes)
+		return nil, fmt.Errorf("tlb: page size %d not a power of two", cfg.PageBytes)
 	}
 	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		return 0, fmt.Errorf("tlb: line size %d not a power of two", cfg.LineBytes)
+		return nil, fmt.Errorf("tlb: line size %d not a power of two", cfg.LineBytes)
 	}
 	if lines := cfg.PageBytes / cfg.LineBytes; lines > 64 {
-		return 0, fmt.Errorf("tlb: %d lines per page exceed the 64-bit MBV", lines)
+		return nil, fmt.Errorf("tlb: %d lines per page exceed the 64-bit MBV", lines)
 	}
-	return numSets, nil
-}
-
-// Backing is an externally-owned entry array a TLB can adopt instead of
-// allocating its own (see NewWindowed). Elements are opaque outside this
-// package; size one with make(tlb.Backing, n) where n comes from
-// BackingEntries — typically one lane's window of a batch-wide
-// struct-of-arrays allocation.
-type Backing []entry
-
-// BackingEntries validates cfg and returns the number of entry slots a TLB
-// built from it holds — the exact length NewWindowed requires of a non-nil
-// backing.
-func BackingEntries(cfg Config) (int, error) {
-	if _, err := validate(cfg); err != nil {
-		return 0, err
-	}
-	return cfg.Entries, nil
-}
-
-// New validates cfg and builds the TLB with a self-owned entry array.
-func New(cfg Config) (*TLB, error) {
-	return NewWindowed(cfg, nil)
-}
-
-// NewWindowed is New adopting an externally-owned entry window: backing
-// must be nil (a private array is allocated, exactly New's behaviour) or
-// hold BackingEntries(cfg) slots. The window is reset on adoption — every
-// slot invalidated, MBV and recency cleared — so a window still dirty from
-// a retired simulation behaves like a fresh allocation.
-func NewWindowed(cfg Config, backing Backing) (*TLB, error) {
-	numSets, err := validate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if backing == nil {
-		backing = make(Backing, cfg.Entries)
-	} else if len(backing) != cfg.Entries {
-		return nil, fmt.Errorf("tlb: backing window holds %d entries, config needs %d",
-			len(backing), cfg.Entries)
-	}
-	for i := range backing {
-		backing[i] = entry{vpn: invalidVPN}
+	sets := make([]entry, cfg.Entries)
+	for i := range sets {
+		sets[i].vpn = invalidVPN
 	}
 	return &TLB{
 		cfg:       cfg,
-		sets:      backing,
+		sets:      sets,
 		numSets:   numSets,
 		setMask:   numSets - 1,
 		ways:      uint64(cfg.Ways),
