@@ -47,8 +47,9 @@ simcheck:
 
 check: build vet lint test race
 
-# Hot-path microbenchmarks in short mode: per-package probe costs plus the
-# end-to-end single-simulation baseline. CI runs this as a smoke. The text
+# Hot-path microbenchmarks in short mode: per-package probe costs (caches,
+# TLB, directory, trace generator, core tick, criticality predictor) plus
+# the end-to-end single-simulation baseline. CI runs this as a smoke. The text
 # log is preserved verbatim and also distilled into BENCH.json (median
 # ns/op and ops-per-sec per benchmark) by renuca-benchjson; raise
 # BENCHCOUNT for a meaningful median (e.g. `make bench BENCHCOUNT=5`).
@@ -57,8 +58,8 @@ BENCHCOUNT ?= 1
 bench:
 	$(GO) build -o /tmp/renuca-benchjson ./cmd/renuca-benchjson
 	$(GO) test -run='^$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) \
-		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkWalk|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
-		./internal/cache ./internal/tlb ./internal/coherence ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
+		-bench='BenchmarkCacheLookup|BenchmarkCacheFill|BenchmarkTLBAccess|BenchmarkDirectory|BenchmarkAppGenNext|BenchmarkCoreTick|BenchmarkCPT|BenchmarkWalk|BenchmarkSingleSim|BenchmarkSuiteThroughput|BenchmarkLintRepo' \
+		./internal/cache ./internal/tlb ./internal/coherence ./internal/trace ./internal/cpu ./internal/predictor ./internal/sim ./internal/lint > /tmp/renuca-bench.txt
 	/tmp/renuca-benchjson -o BENCH.json < /tmp/renuca-bench.txt
 
 # Snapshot the current BENCH.json into the per-PR history as BENCH_$(N).json

@@ -45,30 +45,27 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits()) / float64(a)
 }
 
-// way is one line frame, packed to 16 bytes so an 8-way set spans two CPU
-// cache lines instead of three: the tag plus a meta word holding the LRU
-// stamp in the upper bits and the dirty/valid flags in the low two. LRU
-// stamps are unique per cache (the tick counter increments on every touch),
-// so 62 bits never wrap in practice.
-type way struct {
-	tag  uint64
-	meta uint64 // lru<<2 | dirty<<1 | valid
-}
-
+// Frames are split into two parallel arrays indexed by frame number
+// (set*ways+way), so a probe reads tags only: a 16-way LLC set's tags span
+// two host cache lines and an 8-way L2 set's span one.
+//
+//   - tags[f] holds the line tag plus one, with the dirty flag in bit 63.
+//     Zero is an empty way, so a fresh array needs no sentinel fill and a
+//     probe needs one masked compare per way. Simulated physical addresses
+//     stay below 2^42 (the core ID sits at bits 36 and up), so tag+1 never
+//     reaches the dirty bit; the armed sanitizer checks every fill.
+//   - stamps[f] holds the 32-bit LRU stamp of the frame's last hit or fill.
+//     Stamps are unique within a cache between renormalisations; the
+//     victim is the first empty way, else the valid way with the oldest
+//     stamp.
 const (
-	wayValid = 1 << 0
-	wayDirty = 1 << 1
-	lruShift = 2
+	dirtyBit = uint64(1) << 63
+	tagMask  = dirtyBit - 1
 
-	// invalidTag marks empty/invalidated frames so probe loops need a
-	// single tag compare per way: simulated physical addresses stay below
-	// 2^41 (16 cores above bit 36), so no reachable tag equals ^0.
-	invalidTag = ^uint64(0)
+	// maxStamp is the last LRU tick before the 32-bit clock would wrap;
+	// reaching it renormalises every set's stamps (see renormalise).
+	maxStamp = ^uint32(0)
 )
-
-func (w way) valid() bool { return w.meta&wayValid != 0 }
-func (w way) dirty() bool { return w.meta&wayDirty != 0 }
-func (w way) lru() uint64 { return w.meta >> lruShift }
 
 // Victim describes a line displaced by Fill or removed by Invalidate.
 type Victim struct {
@@ -83,13 +80,14 @@ type Victim struct {
 // worker goroutine (concurrent sweeps run disjoint Systems).
 type Cache struct {
 	cfg      Config
-	sets     []way // flattened [numSets][ways]
+	tags     []uint64 // per frame: tag+1 | dirty<<63; 0 = empty
+	stamps   []uint32 // per frame: LRU stamp of the last hit or fill
 	numSets  uint64
 	setMask  uint64
 	setBits  uint   // log2(numSets), precomputed off the probe path
 	ways     uint64 // uint64(cfg.Ways), hoisted off the probe path
 	lineBits uint
-	tick     uint64
+	tick     uint32 // last LRU stamp handed out
 	stats    Stats
 	san      sanState // occupancy-conservation counters; zero-size without the simcheck tag
 }
@@ -118,13 +116,10 @@ func New(cfg Config) (*Cache, error) {
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		lineBits++
 	}
-	sets := make([]way, lines)
-	for i := range sets {
-		sets[i].tag = invalidTag
-	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		tags:     make([]uint64, lines),
+		stamps:   make([]uint32, lines),
 		numSets:  numSets,
 		setMask:  numSets - 1,
 		setBits:  uint(bitsFor(numSets)),
@@ -155,7 +150,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) NumSets() uint64 { return c.numSets }
 
 // Lines returns the total line capacity.
-func (c *Cache) Lines() uint64 { return uint64(len(c.sets)) }
+func (c *Cache) Lines() uint64 { return uint64(len(c.tags)) }
 
 // SetIndex returns the set index addr maps to (exported for the intra-bank
 // wear-leveling extension, which remaps sets).
@@ -163,9 +158,57 @@ func (c *Cache) SetIndex(addr uint64) uint64 {
 	return (addr >> c.lineBits) & c.setMask
 }
 
-func (c *Cache) locate(addr uint64) (setBase uint64, tag uint64) {
+// locate returns the first frame of addr's set and the stored form of its
+// tag (tag+1, dirty bit clear).
+func (c *Cache) locate(addr uint64) (setBase uint64, want uint64) {
 	lineAddr := addr >> c.lineBits
-	return (lineAddr & c.setMask) * c.ways, lineAddr >> c.setBits
+	return (lineAddr & c.setMask) * c.ways, lineAddr>>c.setBits + 1
+}
+
+// find returns the frame of the set at setBase whose tag is want, or
+// ok=false. It reads tags only.
+func (c *Cache) find(setBase, want uint64) (frame uint64, ok bool) {
+	for i, t := range c.tags[setBase : setBase+c.ways] {
+		if t&tagMask == want {
+			return setBase + uint64(i), true
+		}
+	}
+	return 0, false
+}
+
+// nextStamp advances the LRU clock and returns the new stamp.
+func (c *Cache) nextStamp() uint32 {
+	if c.tick == maxStamp {
+		c.renormalise()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renormalise rewrites every set's valid stamps to their rank order
+// (1..ways) and restarts the clock above them. Victim choice only ever
+// compares stamps within one set, so this is exact; it runs once per 2^32
+// hits and fills.
+func (c *Cache) renormalise() {
+	rank := make([]uint32, c.ways)
+	for base := uint64(0); base < uint64(len(c.tags)); base += c.ways {
+		tags := c.tags[base : base+c.ways]
+		stamps := c.stamps[base : base+c.ways]
+		for i := range stamps {
+			rank[i] = 0
+			if tags[i] == 0 {
+				continue
+			}
+			rank[i] = 1
+			for j := range stamps {
+				if tags[j] != 0 && stamps[j] < stamps[i] {
+					rank[i]++
+				}
+			}
+		}
+		copy(stamps, rank)
+	}
+	c.tick = uint32(c.ways)
 }
 
 func bitsFor(n uint64) int {
@@ -191,21 +234,20 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 //
 //lint:hotpath
 func (c *Cache) LookupFrame(addr uint64, write bool) (hit bool, frame uint64) {
-	setBase, tag := c.locate(addr)
+	setBase, want := c.locate(addr)
 	c.sanCheckTouch(setBase)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			c.tick++
-			meta := c.tick<<lruShift | ways[i].meta&(wayValid|wayDirty)
+	tags := c.tags[setBase : setBase+c.ways]
+	for i, t := range tags {
+		if t&tagMask == want {
 			if write {
-				meta |= wayDirty
+				tags[i] = t | dirtyBit
 				c.stats.WriteHits++
 			} else {
 				c.stats.ReadHits++
 			}
-			ways[i].meta = meta
-			return true, setBase + uint64(i)
+			frame = setBase + uint64(i)
+			c.stamps[frame] = c.nextStamp()
+			return true, frame
 		}
 	}
 	if write {
@@ -218,26 +260,14 @@ func (c *Cache) LookupFrame(addr uint64, write bool) (hit bool, frame uint64) {
 
 // Peek reports whether addr is present without touching recency or stats.
 func (c *Cache) Peek(addr uint64) bool {
-	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	_, ok := c.find(c.locate(addr))
+	return ok
 }
 
 // PeekDirty reports (present, dirty) without touching recency or stats.
 func (c *Cache) PeekDirty(addr uint64) (present, dirty bool) {
-	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			return true, ways[i].dirty()
-		}
-	}
-	return false, false
+	f, ok := c.find(c.locate(addr))
+	return ok, ok && c.tags[f]&dirtyBit != 0
 }
 
 // Fill installs addr (which must not already be present — callers Lookup
@@ -254,39 +284,40 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 //
 //lint:hotpath
 func (c *Cache) FillFrame(addr uint64, dirty bool) (Victim, uint64) {
-	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	victimIdx := 0
-	for i := range ways {
-		if !ways[i].valid() {
+	setBase, want := c.locate(addr)
+	tags := c.tags[setBase : setBase+c.ways]
+	stamps := c.stamps[setBase : setBase+c.ways][:len(tags)] // one length: no bounds checks in the loop
+	// Victim: the first empty way, else the oldest stamp.
+	victimIdx, oldest := 0, stamps[0]
+	for i, t := range tags {
+		if t == 0 {
 			victimIdx = i
-			goto install
+			break
 		}
-		if ways[i].lru() < ways[victimIdx].lru() {
-			victimIdx = i
+		if stamps[i] < oldest {
+			victimIdx, oldest = i, stamps[i]
 		}
 	}
-install:
 	v := Victim{}
-	if ways[victimIdx].valid() {
+	if t := tags[victimIdx]; t != 0 {
 		v.Valid = true
-		v.Dirty = ways[victimIdx].dirty()
+		v.Dirty = t&dirtyBit != 0
 		// The victim shares the incoming line's set, so its set index is the
 		// shift/mask form rather than setBase/ways (ways need not be pow2).
-		v.Addr = c.reconstruct(c.SetIndex(addr), ways[victimIdx].tag)
+		v.Addr = c.reconstruct(c.SetIndex(addr), t&tagMask-1)
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.DirtyEvicts++
 		}
 	}
-	c.tick++
-	meta := c.tick<<lruShift | wayValid
+	t := want
 	if dirty {
-		meta |= wayDirty
+		t |= dirtyBit
 	}
-	ways[victimIdx] = way{tag: tag, meta: meta}
+	tags[victimIdx] = t
+	stamps[victimIdx] = c.nextStamp()
 	c.stats.Fills++
-	c.sanCheckFill(setBase, v.Valid)
+	c.sanCheckFill(setBase, want, v.Valid)
 	return v, setBase + uint64(victimIdx)
 }
 
@@ -295,19 +326,17 @@ install:
 //
 //lint:hotpath
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	setBase, tag := c.locate(addr)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			d := ways[i].dirty()
-			ways[i] = way{tag: invalidTag}
-			c.stats.Invalidates++
-			c.sanCheckInvalidate(setBase, true)
-			return true, d
-		}
+	setBase, want := c.locate(addr)
+	f, ok := c.find(setBase, want)
+	if !ok {
+		c.sanCheckInvalidate(setBase, false)
+		return false, false
 	}
-	c.sanCheckInvalidate(setBase, false)
-	return false, false
+	dirty = c.tags[f]&dirtyBit != 0
+	c.tags[f] = 0
+	c.stats.Invalidates++
+	c.sanCheckInvalidate(setBase, true)
+	return true, dirty
 }
 
 // CleanLine clears the dirty bit of addr if present (after a write-back has
@@ -315,14 +344,10 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 //
 //lint:hotpath
 func (c *Cache) CleanLine(addr uint64) {
-	setBase, tag := c.locate(addr)
+	setBase, want := c.locate(addr)
 	c.sanCheckTouch(setBase)
-	ways := c.sets[setBase : setBase+c.ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			ways[i].meta &^= wayDirty
-			return
-		}
+	if f, ok := c.find(setBase, want); ok {
+		c.tags[f] &^= dirtyBit
 	}
 }
 
@@ -334,8 +359,8 @@ func (c *Cache) reconstruct(set, tag uint64) uint64 {
 // Occupancy returns the number of valid lines (test/diagnostic helper).
 func (c *Cache) Occupancy() uint64 {
 	var n uint64
-	for i := range c.sets {
-		if c.sets[i].valid() {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

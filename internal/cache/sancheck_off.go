@@ -11,6 +11,6 @@ type sanState struct{}
 
 func (c *Cache) sanCheckTouch(setBase uint64) {}
 
-func (c *Cache) sanCheckFill(setBase uint64, evicted bool) {}
+func (c *Cache) sanCheckFill(setBase, want uint64, evicted bool) {}
 
 func (c *Cache) sanCheckInvalidate(setBase uint64, removed bool) {}

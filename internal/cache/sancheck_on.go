@@ -17,33 +17,38 @@ type sanState struct {
 // Occupancy() cross-checks; per-event checks stay O(ways).
 const sanSweepInterval = 4096
 
-// sanCheckSet validates the structural invariants of one set: a valid way
-// never carries the invalid sentinel tag or an LRU stamp from the future,
-// an invalid way carries no stale tag or dirty bit (Invalidate must fully
-// scrub the frame), and no two valid ways in a set hold the same tag.
+// sanCheckSet validates the structural invariants of one set: an empty
+// way carries no stray dirty bit (Invalidate must fully scrub the frame),
+// a valid way's stamp is not from the future, no two valid ways share a
+// tag or a stamp (stamps are unique per cache between renormalisations,
+// and victim choice depends on it).
 func (c *Cache) sanCheckSet(setBase uint64) {
-	ways := c.sets[setBase : setBase+c.ways]
+	tags := c.tags[setBase : setBase+c.ways]
+	stamps := c.stamps[setBase : setBase+c.ways]
 	set := setBase / c.ways
-	for i := range ways {
-		w := ways[i]
-		if !w.valid() {
-			if w.tag != invalidTag || w.dirty() {
-				sancheck.Failf("cache %s: set %d way %d is invalid but carries tag %#x dirty=%v (frame not scrubbed)",
-					c.cfg.Name, set, i, w.tag, w.dirty())
+	for i, t := range tags {
+		if t&tagMask == 0 {
+			if t != 0 {
+				sancheck.Failf("cache %s: set %d way %d is empty but carries the dirty bit (frame not scrubbed)",
+					c.cfg.Name, set, i)
 			}
 			continue
 		}
-		if w.tag == invalidTag {
-			sancheck.Failf("cache %s: set %d way %d is valid with the invalid sentinel tag", c.cfg.Name, set, i)
-		}
-		if w.lru() > c.tick {
+		if stamps[i] > c.tick {
 			sancheck.Failf("cache %s: set %d way %d LRU stamp %d is ahead of the cache tick %d",
-				c.cfg.Name, set, i, w.lru(), c.tick)
+				c.cfg.Name, set, i, stamps[i], c.tick)
 		}
-		for j := i + 1; j < len(ways); j++ {
-			if ways[j].valid() && ways[j].tag == w.tag {
+		for j := i + 1; j < len(tags); j++ {
+			if tags[j] == 0 {
+				continue
+			}
+			if tags[j]&tagMask == t&tagMask {
 				sancheck.Failf("cache %s: tag %#x duplicated in set %d (ways %d and %d)",
-					c.cfg.Name, w.tag, set, i, j)
+					c.cfg.Name, t&tagMask-1, set, i, j)
+			}
+			if stamps[j] == stamps[i] {
+				sancheck.Failf("cache %s: LRU stamp %d duplicated in set %d (ways %d and %d)",
+					c.cfg.Name, stamps[i], set, i, j)
 			}
 		}
 	}
@@ -78,7 +83,14 @@ func (c *Cache) sanCheckTouch(setBase uint64) {
 	c.sanCheckSet(setBase)
 }
 
-func (c *Cache) sanCheckFill(setBase uint64, evicted bool) {
+// sanCheckFill also enforces the address bound the frame packing relies
+// on: the stored tag+1 of the installed line is nonzero and below the
+// dirty bit.
+func (c *Cache) sanCheckFill(setBase, want uint64, evicted bool) {
+	if want == 0 || want&dirtyBit != 0 {
+		sancheck.Failf("cache %s: filled tag %#x does not fit below the dirty bit; the address is outside the simulated space",
+			c.cfg.Name, want-1)
+	}
 	c.sanCheckSet(setBase)
 	if evicted {
 		c.sanAccount(0) // one in, one out

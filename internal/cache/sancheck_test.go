@@ -13,9 +13,9 @@ import (
 // touch, naming the cache, tag, and set.
 func TestSanitizerCatchesDuplicateTag(t *testing.T) {
 	c := MustNew(Config{Name: "L1-test", SizeBytes: 8 * 64, Ways: 2, LineBytes: 64})
-	c.Fill(0, false)              // set 0, tag 0
-	c.Fill(4*64, false)           // set 0, tag 1
-	c.sets[1].tag = c.sets[0].tag // corrupt: duplicate tag in set 0
+	c.Fill(0, false)      // set 0, tag 0
+	c.Fill(4*64, false)   // set 0, tag 1
+	c.tags[1] = c.tags[0] // corrupt: duplicate tag in set 0
 
 	defer func() {
 		r := recover()
@@ -30,6 +30,38 @@ func TestSanitizerCatchesDuplicateTag(t *testing.T) {
 			if !strings.Contains(msg, frag) {
 				t.Errorf("panic %q does not name %q", msg, frag)
 			}
+		}
+	}()
+	c.Lookup(0, false)
+}
+
+// TestSanitizerCatchesOutOfRangeAddress fills a line whose tag does not fit
+// below the dirty bit — an address outside the simulated space, which the
+// frame packing cannot represent — and asserts the fill panics.
+func TestSanitizerCatchesOutOfRangeAddress(t *testing.T) {
+	c := MustNew(Config{Name: "wide", SizeBytes: 2, Ways: 1, LineBytes: 2})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("sanitizer did not catch an out-of-range fill")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "outside the simulated space") {
+			t.Errorf("panic %q does not name the address bound", msg)
+		}
+	}()
+	c.Fill(^uint64(0), false) // tag 2^63-1: tag+1 is the dirty bit
+}
+
+// TestSanitizerCatchesDuplicateStamp gives two valid ways of a set the same
+// LRU stamp, which would make victim choice depend on way order.
+func TestSanitizerCatchesDuplicateStamp(t *testing.T) {
+	c := MustNew(Config{Name: "stamp", SizeBytes: 8 * 64, Ways: 2, LineBytes: 64})
+	c.Fill(0, false)
+	c.Fill(4*64, false)
+	c.stamps[1] = c.stamps[0]
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "LRU stamp") {
+			t.Fatalf("sanitizer panic %q, want a duplicated-stamp diagnostic", msg)
 		}
 	}()
 	c.Lookup(0, false)

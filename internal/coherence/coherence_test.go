@@ -5,15 +5,20 @@ import (
 	"testing/quick"
 )
 
-func dir() *Directory { return MustNewDirectory(16) }
+func dir() *Directory { return MustNewDirectory(16, 64) }
 
 func TestNewDirectoryValidation(t *testing.T) {
 	for _, n := range []int{0, -1, 65} {
-		if _, err := NewDirectory(n); err == nil {
+		if _, err := NewDirectory(n, 64); err == nil {
 			t.Errorf("core count %d: expected error", n)
 		}
 	}
-	if _, err := NewDirectory(64); err != nil {
+	for _, n := range []int{0, -1} {
+		if _, err := NewDirectory(4, n); err == nil {
+			t.Errorf("line bound %d: expected error", n)
+		}
+	}
+	if _, err := NewDirectory(64, 1); err != nil {
 		t.Errorf("64 cores should be accepted: %v", err)
 	}
 }

@@ -8,6 +8,8 @@ package coherence
 // cost at zero; build with `-tags simcheck` (make simcheck) to arm the
 // implementations in sancheck_on.go.
 
+type sanState struct{}
+
 func (d *Directory) sanCheckLine(addr uint64) {}
 
 func (d *Directory) sanCheckTransition(addr uint64, prev State) {}

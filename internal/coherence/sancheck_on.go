@@ -16,32 +16,82 @@ var mesiLegal = [4][4]bool{
 	Modified:  {Invalid: true, Shared: true, Exclusive: false, Modified: true},
 }
 
-// sanCheckLine validates the core-bitmask consistency of one tracked line:
-// a tracked line has at least one sharer, no sharer outside the configured
-// core count, and in E/M exactly one sharer that matches the owner field.
-// Methods call it on entry (catching corruption left by earlier callers)
-// and again through sanCheckTransition on exit.
+// sanSweepInterval is how many directory operations pass between full
+// table sweeps; per-operation checks stay O(probe run).
+const sanSweepInterval = 4096
+
+// sanState paces the full-table sweep.
+type sanState struct {
+	events uint64
+}
+
+// sanCheckLine validates one line and the table around it: the line
+// address fits below the state bits, the tracked population is within the
+// bound the table was sized for, and a tracked line has no sharer outside
+// the configured core count, a legal state, and in E/M exactly one sharer
+// (the owner). Methods call it on entry (catching corruption left by
+// earlier callers) and again through sanCheckTransition on exit.
 func (d *Directory) sanCheckLine(addr uint64) {
-	ls, ok := d.lines[addr]
+	if addr&^addrMask != 0 {
+		sancheck.Failf("coherence: line %#x does not fit below the state bits; the address is outside the simulated space", addr)
+	}
+	if d.count > d.limit {
+		sancheck.Failf("coherence: %d tracked lines exceed the bound of %d the %d-slot table was sized for",
+			d.count, d.limit, len(d.slots))
+	}
+	d.san.events++
+	if d.san.events%sanSweepInterval == 0 {
+		d.sanSweep()
+	}
+	i, ok := d.find(addr)
 	if !ok {
 		return
 	}
-	if ls.sharers == 0 {
-		sancheck.Failf("coherence: line %#x tracked in state %s with no sharers", addr, ls.state)
-	}
-	if limit := uint64(1)<<uint(d.numCores) - 1; ls.sharers&^limit != 0 {
+	d.sanCheckSlot(i)
+}
+
+// sanCheckSlot validates the sharer mask and state of the tracked line in
+// slot i.
+func (d *Directory) sanCheckSlot(i uint64) {
+	s := d.slots[i]
+	addr, st := s.addr(), s.state()
+	if limit := uint64(1)<<uint(d.numCores) - 1; s.sharers&^limit != 0 {
 		sancheck.Failf("coherence: line %#x has sharers outside the %d-core system: %s",
-			addr, d.numCores, sancheck.Cores(ls.sharers))
+			addr, d.numCores, sancheck.Cores(s.sharers))
 	}
-	switch ls.state {
+	switch st {
 	case Exclusive, Modified:
-		if int(ls.owner) < 0 || int(ls.owner) >= d.numCores || ls.sharers != 1<<uint(ls.owner) {
-			sancheck.Failf("coherence: line %#x in state %s must have exactly one sharer matching owner %d, got %s",
-				addr, ls.state, ls.owner, sancheck.Cores(ls.sharers))
+		if s.sharers&(s.sharers-1) != 0 {
+			sancheck.Failf("coherence: line %#x in state %s must have exactly one sharer, its owner, got %s",
+				addr, st, sancheck.Cores(s.sharers))
 		}
 	case Shared:
 	default:
-		sancheck.Failf("coherence: line %#x tracked with invalid state %d", addr, uint8(ls.state))
+		sancheck.Failf("coherence: line %#x tracked with invalid state %s", addr, st)
+	}
+}
+
+// sanSweep cross-checks the whole table: the occupied-slot count equals
+// the tracked count, every line is reachable from its home slot (no probe
+// run is cut by an empty slot), and no line is stored twice.
+func (d *Directory) sanSweep() {
+	n := 0
+	for i := range d.slots {
+		if d.slots[i].sharers == 0 {
+			if d.slots[i].key != 0 {
+				sancheck.Failf("coherence: empty slot %d carries stale key %#x (slot not scrubbed)", i, d.slots[i].key)
+			}
+			continue
+		}
+		n++
+		if j, ok := d.find(d.slots[i].addr()); !ok || j != uint64(i) {
+			sancheck.Failf("coherence: line %#x in slot %d is not the one its probe run reaches (found=%v at %d)",
+				d.slots[i].addr(), i, ok, j)
+		}
+		d.sanCheckSlot(uint64(i))
+	}
+	if n != d.count {
+		sancheck.Failf("coherence: %d occupied slots but %d tracked lines", n, d.count)
 	}
 }
 
@@ -49,10 +99,7 @@ func (d *Directory) sanCheckLine(addr uint64) {
 // (prev was captured at entry; the current state is re-read here) and
 // re-validates the line's bitmask consistency.
 func (d *Directory) sanCheckTransition(addr uint64, prev State) {
-	cur := Invalid
-	if ls, ok := d.lines[addr]; ok {
-		cur = ls.state
-	}
+	cur := d.StateOf(addr)
 	if prev > Modified || cur > Modified {
 		sancheck.Failf("coherence: line %#x transition involves invalid state (%d -> %d)", addr, uint8(prev), uint8(cur))
 	}

@@ -39,13 +39,13 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 	ctr := &s.counters[core]
 	t := cycle
 
-	// 1. TLB: consulted by every access; the Mapping Bit Vector read
-	//    happens here, before the LLC is reached (Section IV-C).
+	// 1. TLB: consulted by every access. The Mapping Bit Vector bit rides
+	//    in the same entry (Section IV-C); only the LLC path reads it, after
+	//    the L2 miss below, and L1/L2 lookups never touch the TLB.
 	if !s.tlbs[core].Access(pa) {
 		ctr.TLBMisses++
 		t += s.tlbMissLat
 	}
-	mbv := s.tlbs[core].MappingBit(pa)
 
 	// 2. L1.
 	if s.l1[core].Lookup(pa, forStore) {
@@ -70,6 +70,7 @@ func (s *System) walk(core int, vaddr uint64, critical bool, cycle uint64, forSt
 	//    candidate banks they are independent banks, so the requests fan
 	//    out in parallel and the latency is the max of the two paths, not
 	//    their sum.
+	mbv := s.tlbs[core].MappingBit(pa)
 	tile := s.tileOf(core)
 	origin := tile
 	if s.cfg.LLC.Policy == nuca.NaiveWL {
@@ -151,16 +152,12 @@ func (s *System) acquire(line uint64, core int, forStore bool) {
 }
 
 // fillL1 installs the line into core's L1 (dirty for stores) and cascades
-// the victim into L2.
+// the victim into L2. The line is absent: the walk has just missed L1, and
+// nothing between that miss and this fill installs it.
 //
 //lint:hotpath
 func (s *System) fillL1(core int, pa uint64, dirty bool, t uint64) {
-	if s.l1[core].Peek(pa) {
-		if dirty {
-			s.l1[core].Lookup(pa, true)
-		}
-		return
-	}
+	sanCheckAbsent(s.l1[core], pa)
 	v := s.l1[core].Fill(pa, dirty)
 	if v.Valid && v.Dirty {
 		// L1 dirty victim merges into L2 (enforced inclusive: present).
@@ -174,13 +171,12 @@ func (s *System) fillL1(core int, pa uint64, dirty bool, t uint64) {
 }
 
 // fillL2 installs the line into core's L2 (clean: dirtiness lives in L1
-// until eviction) and handles the displaced victim.
+// until eviction) and handles the displaced victim. The line is absent, as
+// for fillL1: the walk has just missed L2.
 //
 //lint:hotpath
 func (s *System) fillL2(core int, pa uint64, t uint64) {
-	if s.l2[core].Peek(pa) {
-		return
-	}
+	sanCheckAbsent(s.l2[core], pa)
 	v := s.l2[core].Fill(pa, false)
 	if v.Valid {
 		s.handleL2Victim(core, v, t)

@@ -186,9 +186,6 @@ func New(cfg Config, apps []trace.Profile) (*System, error) {
 	if s.llc, err = nuca.New(cfg.LLC, s.wear); err != nil {
 		return nil, err
 	}
-	if s.dir, err = coherence.NewDirectory(cfg.Cores); err != nil {
-		return nil, err
-	}
 
 	s.counters = make([]CoreCounters, cfg.Cores)
 	s.frozen = make([]CoreCounters, cfg.Cores)
@@ -234,6 +231,11 @@ func New(cfg Config, apps []trace.Profile) (*System, error) {
 		s.tlbs = append(s.tlbs, tb)
 		s.gens = append(s.gens, gen)
 		s.cores = append(s.cores, core)
+	}
+	// The directory tracks only L2-resident lines, so its table is sized
+	// once from the total private L2 capacity (the L2s above validated it).
+	if s.dir, err = coherence.NewDirectory(cfg.Cores, cfg.Cores*int(s.l2[0].Lines())); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
