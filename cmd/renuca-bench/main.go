@@ -23,21 +23,16 @@
 // goroutines; stdout is byte-identical either way at the same seed.
 // Characterisation runs and sweeps stay in-process.
 //
-// With -queue (or RENUCA_QUEUE=1), every suite and ablation runs the
-// per-bank FIFO queue contention model instead of the legacy bounded-window
-// model. The contention experiment (-exp contention) arms it for its own
-// suite either way.
-//
 // Scale knobs (environment): RENUCA_INSTR, RENUCA_WARMUP (16-core runs),
 // RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP (single-core characterisation),
-// RENUCA_SEED, RENUCA_WORKERS, RENUCA_SHARDS, RENUCA_QUEUE.
+// RENUCA_SEED, RENUCA_WORKERS, RENUCA_SHARDS.
 //
 // Hardware knobs (environment, zero/unset = the paper's Table I values):
 // RENUCA_L2, RENUCA_L3BANK (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD
-// (criticality percent), RENUCA_INTRABANK_WL=1, RENUCA_WRITE_LAT and
-// RENUCA_CWINDOW (cycles). They override every suite the run executes; the
-// Runner folds them into its memo keys so differently-configured runs can
-// never share a cached suite.
+// (criticality percent), RENUCA_INTRABANK_WL=1 and RENUCA_WRITE_LAT
+// (cycles). They override every suite the run executes; the Runner folds
+// them into its memo keys so differently-configured runs can never share a
+// cached suite.
 package main
 
 import (
@@ -60,7 +55,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = RENUCA_WORKERS or one per CPU)")
 	shards := flag.Int("shards", 0, "run suite simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
-	queue := flag.Bool("queue", false, "arm the per-bank FIFO queue contention model in every experiment (or RENUCA_QUEUE=1)")
 	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -113,9 +107,6 @@ func main() {
 	params := experiments.ParamsFromEnv()
 	if *workers > 0 {
 		params.Workers = *workers
-	}
-	if *queue {
-		params.QueueModel = true
 	}
 	r := experiments.NewRunner(params)
 	if !*quiet {

@@ -20,6 +20,8 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/dram"
+	"repro/internal/noc"
 	"repro/internal/nuca"
 	"repro/internal/pool"
 	"repro/internal/sim"
@@ -65,16 +67,6 @@ type Options struct {
 	// IntraBankWL enables the i2wap-style intra-bank rotation extension
 	// (orthogonal to the NUCA policy; improves first-failure lifetime).
 	IntraBankWL bool
-
-	// QueueModel arms the per-bank FIFO queue contention model (see
-	// nuca.Config.QueueModel): reads pay in full for colliding with
-	// in-flight ReRAM writes, and the Report carries op-history transition
-	// counts plus per-bank service-latency histograms. Off by default —
-	// the legacy windowed model keeps every existing result reproducible.
-	QueueModel bool
-	// BankContentionWindow overrides the legacy model's bank contention
-	// window in cycles (zero = the historical 64).
-	BankContentionWindow uint32
 
 	// ReRAMWriteLatency overrides the ReRAM array write time (default:
 	// equal to the 100-cycle read latency, as Table I's single figure).
@@ -139,10 +131,6 @@ func config(o Options) (sim.Config, error) {
 		cfg.CPT.ThresholdPct = o.CriticalityThresholdPct
 	}
 	cfg.LLC.IntraBankWL = o.IntraBankWL
-	cfg.LLC.QueueModel = o.QueueModel
-	if o.BankContentionWindow != 0 {
-		cfg.LLC.BankContentionWindow = o.BankContentionWindow
-	}
 	if o.ReRAMWriteLatency != 0 {
 		cfg.LLC.WriteLatency = o.ReRAMWriteLatency
 		// Slower writes hold the array longer before the bank frees.
@@ -210,13 +198,15 @@ type SuiteReport struct {
 	// (Figure 4's y-axis).
 	HMeanLifetime float64
 
-	// LLC sums every workload's LLC counters — in particular the bank
-	// queue-model behaviour (Queue.RAR/RAW/WAR/WAW transitions, wait
-	// cycles, legacy Slipped count) the contention experiment reports.
-	LLC nuca.Stats
+	// LLC, NoC and DRAM sum every workload's counters — in particular the
+	// bank contention behaviour (Queue.RAR/RAW/WAR/WAW transitions, wait
+	// cycles) and the out-of-order arrivals per resource kind the
+	// contention experiment reports.
+	LLC  nuca.Stats
+	NoC  noc.Stats
+	DRAM dram.Stats
 	// BankService folds the per-bank service-latency histograms across
-	// workloads, bank by bank; nil when the queue model was off for the
-	// whole suite.
+	// workloads, bank by bank.
 	BankService []nuca.BankServiceStats
 }
 
@@ -356,6 +346,8 @@ func AggregateSuite(policy string, reports []Report) SuiteReport {
 		}
 		ipcs = append(ipcs, rep.MeanIPC)
 		stats.MergeNumeric(&sr.LLC, &rep.LLC)
+		stats.MergeNumeric(&sr.NoC, &rep.NoC)
+		stats.MergeNumeric(&sr.DRAM, &rep.DRAM)
 		if rep.BankService != nil {
 			if sr.BankService == nil {
 				sr.BankService = make([]nuca.BankServiceStats, len(rep.BankService))

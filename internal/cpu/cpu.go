@@ -245,6 +245,13 @@ func (c *Core) Tick(cycle uint64) (nextWake uint64) {
 // load must not reserve a link hundreds of cycles before its address is
 // known.
 //
+// An operation issues at the tick that finds it ready, never earlier. A
+// running core ticks at every cycle an operation becomes ready, so that
+// is its ready time; but a core that halted at its instruction target and
+// resumes in the next Run may find operations that became ready while it
+// was halted, and issuing those in the past would book shared resources
+// before the cycle the simulator has already reached.
+//
 //lint:hotpath
 func (c *Core) issuePending(cycle uint64) {
 	if len(c.pending) == 0 {
@@ -268,7 +275,7 @@ func (c *Core) issuePending(cycle uint64) {
 			kept = append(kept, p)
 			continue
 		}
-		c.execute(&c.rob[p.robIdx], ready)
+		c.execute(&c.rob[p.robIdx], cycle)
 	}
 	c.pending = kept
 }

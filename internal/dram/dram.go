@@ -5,12 +5,16 @@
 // reordering window is approximated by its first-order effect: requests
 // that hit the open row of a bank are served with the short CAS-only
 // latency, while row misses and conflicts pay precharge/activate costs, and
-// per-bank plus per-channel next-free timestamps impose queueing delay on
-// bursts. All timing parameters are expressed in CPU cycles at the 2.4GHz
-// core clock.
+// reads book their bank and their channel's data bus on reservation
+// calendars (package timeline), which impose queueing delay on bursts. All
+// timing parameters are expressed in CPU cycles at the 2.4GHz core clock.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/timeline"
+)
 
 // Config parameterises the memory system.
 type Config struct {
@@ -31,12 +35,6 @@ type Config struct {
 	// streams interleave in arrival order. 1 models a plain in-order
 	// open-page controller.
 	SchedulerRows int
-	// ContentionWindow bounds how far ahead a bank/bus reservation can
-	// stall an earlier request. Requests are issued at their walk times,
-	// which skew a little out of order; a reservation further ahead than
-	// this window leaves an idle gap the request slips through (see the
-	// same mechanism in package noc).
-	ContentionWindow uint64
 }
 
 // DefaultConfig approximates DDR3-1600 timings scaled to 2.4GHz CPU cycles
@@ -45,19 +43,18 @@ type Config struct {
 // controller pipeline, PHY and off-chip signalling overhead per request.
 func DefaultConfig() Config {
 	return Config{
-		Channels:         4,
-		RanksPerChan:     2,
-		BanksPerRank:     8,
-		RowBytes:         8 << 10,
-		LineBytes:        64,
-		TCtrl:            45,
-		TCAS:             33,
-		TRCD:             33,
-		TRP:              33,
-		TBurst:           24,
-		WriteToReadGap:   18,
-		SchedulerRows:    4,
-		ContentionWindow: 250,
+		Channels:       4,
+		RanksPerChan:   2,
+		BanksPerRank:   8,
+		RowBytes:       8 << 10,
+		LineBytes:      64,
+		TCtrl:          45,
+		TCAS:           33,
+		TRCD:           33,
+		TRP:            33,
+		TBurst:         24,
+		WriteToReadGap: 18,
+		SchedulerRows:  4,
 	}
 }
 
@@ -69,19 +66,22 @@ type Stats struct {
 	RowMisses    uint64 // bank had no open row
 	RowConflicts uint64 // bank had a different row open
 	QueueCycles  uint64 // total cycles requests waited on busy banks/buses
+	// OutOfOrder counts bank and bus bookings that started before the
+	// latest booking already on their bank or bus
+	// (timeline.Set.OutOfOrder).
+	OutOfOrder uint64
 }
 
 // Memory is the DDR3 model. Not safe for concurrent use.
 //
 // Bank state is laid out struct-of-arrays over one flat uint64 word array:
-// the scheduler's open-row windows, then per-bank window depths, then
-// per-bank next-free timestamps, then per-channel bus-free timestamps.
+// the scheduler's open-row windows, then per-bank window depths.
 type Memory struct {
 	cfg       Config
 	rows      []uint64 // open-row windows, bank-major: [bank*SchedulerRows+slot]
 	rowLen    []uint64 // per-bank count of valid slots in rows
-	nextFree  []uint64 // per-bank earliest next issue cycle
-	busFree   []uint64 // per channel
+	banks     timeline.Set
+	buses     timeline.Set // per channel
 	numBanks  int
 	stats     Stats
 	chanBits  uint
@@ -112,19 +112,16 @@ func New(cfg Config) (*Memory, error) {
 	if cfg.SchedulerRows <= 0 {
 		return nil, fmt.Errorf("dram: scheduler row window %d must be positive", cfg.SchedulerRows)
 	}
-	if cfg.ContentionWindow == 0 {
-		return nil, fmt.Errorf("dram: zero contention window")
-	}
 	nb := cfg.Channels * cfg.RanksPerChan * cfg.BanksPerRank
 	rowWords := nb * cfg.SchedulerRows
-	words := rowWords + 2*nb + cfg.Channels
+	words := rowWords + nb
 	state := make([]uint64, words)
 	m := &Memory{
 		cfg:      cfg,
 		rows:     state[:rowWords:rowWords],
-		rowLen:   state[rowWords : rowWords+nb : rowWords+nb],
-		nextFree: state[rowWords+nb : rowWords+2*nb : rowWords+2*nb],
-		busFree:  state[rowWords+2*nb : words : words],
+		rowLen:   state[rowWords:words:words],
+		banks:    timeline.NewSet(nb),
+		buses:    timeline.NewSet(cfg.Channels),
 		numBanks: nb,
 	}
 	m.chanBits = log2u(uint64(cfg.Channels))
@@ -160,10 +157,28 @@ func log2u(n uint64) uint {
 func (m *Memory) Config() Config { return m.cfg }
 
 // Stats returns a copy of the counters.
-func (m *Memory) Stats() Stats { return m.stats }
+func (m *Memory) Stats() Stats {
+	return m.stats.withOutOfOrder(m.banks.OutOfOrder() + m.buses.OutOfOrder())
+}
 
-// ResetStats zeroes the counters.
-func (m *Memory) ResetStats() { m.stats = Stats{} }
+func (s Stats) withOutOfOrder(n uint64) Stats {
+	s.OutOfOrder = n
+	return s
+}
+
+// ResetStats zeroes the counters; bank and bus bookings survive.
+func (m *Memory) ResetStats() {
+	m.stats = Stats{}
+	m.banks.ResetCounts()
+	m.buses.ResetCounts()
+}
+
+// Advance declares that no request will be issued before cycle now, so the
+// bank and bus calendars may drop bookings that have ended (timeline.Set).
+func (m *Memory) Advance(now uint64) {
+	m.banks.Advance(now)
+	m.buses.Advance(now)
+}
 
 // decode splits a byte address into (channel, global bank index, row).
 // Lines interleave across channels first (maximising channel parallelism
@@ -186,8 +201,10 @@ func (m *Memory) decode(addr uint64) (ch int, bk int, row uint64) {
 //
 // Writes (LLC dirty evictions) are posted: an FR-FCFS controller buffers
 // them and drains them into idle bank cycles, so they update row state and
-// statistics but do not reserve the bank or bus against reads. Reads queue
-// on bank and bus reservations within the contention window.
+// statistics but do not reserve the bank or bus against reads. A read books
+// its bank for the row access plus the burst in the earliest free gap at
+// or after now + TCtrl, then its channel's data bus for the burst in the
+// earliest free gap at or after the data is ready.
 //
 //lint:hotpath
 func (m *Memory) Access(addr uint64, now uint64, write bool) uint64 {
@@ -195,14 +212,6 @@ func (m *Memory) Access(addr uint64, now uint64, write bool) uint64 {
 	sr := m.cfg.SchedulerRows
 	win := m.rows[bk*sr : (bk+1)*sr]
 	n := int(m.rowLen[bk])
-
-	start := now + m.cfg.TCtrl
-	if nf := m.nextFree[bk]; !write && nf > start {
-		if delta := nf - start; delta <= m.cfg.ContentionWindow {
-			m.stats.QueueCycles += delta
-			start = nf
-		}
-	}
 
 	var coreLat uint64
 	switch hitIdx := rowIndex(win[:n], row); {
@@ -225,24 +234,19 @@ func (m *Memory) Access(addr uint64, now uint64, write bool) uint64 {
 		win[0] = row
 	}
 
-	dataReady := start + coreLat
-	busStart := dataReady
+	start := now + m.cfg.TCtrl
 	if write {
 		// Posted write: no resource claims; the write lands in idle slots.
 		m.stats.Writes++
-		done := busStart + m.cfg.TBurst
+		done := start + coreLat + m.cfg.TBurst
 		m.sanCheckBank(bk, now, done)
 		return done
 	}
-	if f := m.busFree[ch]; f > busStart {
-		if delta := f - busStart; delta <= m.cfg.ContentionWindow {
-			m.stats.QueueCycles += delta
-			busStart = f
-		}
-	}
+	bankStart := m.banks.Reserve(bk, start, coreLat+m.cfg.TBurst)
+	dataReady := bankStart + coreLat
+	busStart := m.buses.Reserve(ch, dataReady, m.cfg.TBurst)
+	m.stats.QueueCycles += (bankStart - start) + (busStart - dataReady)
 	done := busStart + m.cfg.TBurst
-	m.busFree[ch] = done
-	m.nextFree[bk] = done
 	m.stats.Reads++
 	m.sanCheckBank(bk, now, done)
 	return done

@@ -120,15 +120,52 @@ func TestPostedWritesDoNotBlockReads(t *testing.T) {
 	}
 }
 
+// Reads queue only while their bank is really booked: a read issued after
+// the booking ended pays nothing, an early read fills the idle gap before a
+// future booking, and a read that collides with one waits it out in full.
 func TestReadQueueingWithinWindowOnly(t *testing.T) {
 	m := mem()
-	m.Access(0, 0, false) // occupies bank until ~135
-	// A read issued far later than the reservation window slips through.
 	cfg := m.Config()
-	lateStart := uint64(10 * cfg.ContentionWindow)
-	done := m.Access(0, lateStart, false)
-	if done-lateStart > cfg.TCtrl+cfg.TRP+cfg.TRCD+cfg.TCAS+cfg.TBurst {
+	missLat := cfg.TCtrl + cfg.TRCD + cfg.TCAS + cfg.TBurst
+	first := m.Access(0, 1000, false) // books addr 0's bank from 1045
+	lateStart := first + 500
+	if done := m.Access(1<<20, lateStart, false); done-lateStart > cfg.TCtrl+cfg.TRP+cfg.TRCD+cfg.TCAS+cfg.TBurst {
 		t.Errorf("late read paid spurious queueing: latency %d", done-lateStart)
+	}
+	// Same bank (and channel) as addr 0, a different row: the early read
+	// fits before the booking at 1045.
+	if done := m.Access(4<<20, 0, false); done != missLat {
+		t.Errorf("early read finished at %d, want %d (fills the idle gap)", done, missLat)
+	}
+	if m.Stats().QueueCycles != 0 {
+		t.Errorf("queue cycles %d, want 0", m.Stats().QueueCycles)
+	}
+	// Starting 20 cycles into the first read's booking, a read waits for
+	// the bank to free.
+	if done := m.Access(8<<20, 1020, false); done <= first {
+		t.Errorf("colliding read finished at %d, not after the booking it collides with (%d)", done, first)
+	}
+	if m.Stats().QueueCycles == 0 || m.Stats().OutOfOrder < 2 {
+		t.Errorf("stats %+v: want queueing and out-of-order arrivals recorded", m.Stats())
+	}
+}
+
+// Advance lets the bank and bus calendars drop ended bookings without
+// changing a completion: an advanced memory and an unadvanced one agree on
+// every read.
+func TestAdvanceDoesNotChangeCompletions(t *testing.T) {
+	a, b := mem(), mem()
+	var now uint64
+	for i := uint64(0); i < 3000; i++ {
+		now += i % 7
+		a.Advance(now)
+		addr, at := (i*2654435761)%(1<<24)&^63, now+(i*37)%400
+		if x, y := a.Access(addr, at, i%5 == 0), b.Access(addr, at, i%5 == 0); x != y {
+			t.Fatalf("request %d: advanced memory completes at %d, unadvanced at %d", i, x, y)
+		}
+	}
+	if a.Stats() != b.Stats() || a.Stats().OutOfOrder == 0 {
+		t.Errorf("stats differ or saw no out-of-order arrivals: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }
 

@@ -8,10 +8,8 @@ import "repro/internal/sancheck"
 // scheduler's open-row window never exceeds its configured depth or holds
 // a duplicate row (the recency-refresh copies would corrupt both ways),
 // and the completion time respects the best-case bound — controller
-// overhead plus CAS plus burst; row misses and conflicts only add to it.
-// Bank nextFree is deliberately unchecked: requests are issued at walk
-// times that skew out of order, so next-free timestamps may legally move
-// backwards between calls.
+// overhead plus CAS plus burst; row misses, conflicts and waits only add
+// to it. The bank and bus bookings are checked by the timeline sanitizer.
 func (m *Memory) sanCheckBank(bk int, now, done uint64) {
 	n := int(m.rowLen[bk])
 	if n > m.cfg.SchedulerRows {

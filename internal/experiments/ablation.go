@@ -34,7 +34,6 @@ func (r *Runner) Ablation() ([]AblationPoint, error) {
 		o.InstrPerCore = r.P.InstrPerCore
 		o.Warmup = r.P.Warmup
 		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
 		o.Apps = wl.Apps
 		o.CriticalityThresholdPct = th
 		r.logf("ablation", "Re-NUCA threshold x=%3.0f%% on %s", th, wl.Name)
@@ -117,7 +116,6 @@ func (r *Runner) RotationAblation() ([]RotationPoint, error) {
 		o.InstrPerCore = 10 * r.P.InstrPerCore
 		o.Warmup = r.P.Warmup
 		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
 		o.Apps = apps
 		o.IntraBankWL = rot
 		r.logf("rotation", "intra-bank rotation=%v on omnetpp/xalancbmk mix (%d instr)", rot, o.InstrPerCore)
@@ -180,7 +178,6 @@ func (r *Runner) WriteLatencyAblation() ([]WriteLatencyPoint, error) {
 		o.InstrPerCore = r.P.InstrPerCore
 		o.Warmup = r.P.Warmup
 		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
 		o.Apps = wl.Apps
 		o.ReRAMWriteLatency = wlat
 		r.logf("writelat", "ReRAM write latency %d cycles, %s", wlat, p)

@@ -28,7 +28,6 @@ func (r *Runner) EnergyStudy() ([]EnergyPoint, error) {
 		o.InstrPerCore = r.P.InstrPerCore
 		o.Warmup = r.P.Warmup
 		o.Seed = r.P.Seed
-		o.QueueModel = r.P.QueueModel
 		o.Apps = wl.Apps
 		r.logf("energy", "energy study: %s on %s", p, wl.Name)
 		rep, err := core.Run(o)

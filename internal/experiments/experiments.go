@@ -41,12 +41,6 @@ type Params struct {
 	// 0 means auto: RENUCA_WORKERS if set, else one worker per CPU.
 	// Results are byte-identical for every worker count.
 	Workers int //lint:allow optflow concurrency cap only: byte-identical results for every worker count, never reaches Options
-	// QueueModel arms the per-bank FIFO queue contention model in every
-	// suite and ablation the Runner executes (core.Options.QueueModel).
-	// Off by default: the legacy windowed model keeps all existing goldens
-	// byte-identical. The contention experiment arms it for itself either
-	// way.
-	QueueModel bool
 	// The remaining fields override the corresponding core.Options
 	// hardware knobs in every suite the Runner executes (zero = keep the
 	// paper's Table I configuration). They are applied by policyOptions
@@ -58,7 +52,6 @@ type Params struct {
 	CriticalityThresholdPct float64
 	IntraBankWL             bool
 	ReRAMWriteLatency       uint32
-	BankContentionWindow    uint32
 }
 
 // DefaultParams returns the standard scale.
@@ -73,15 +66,14 @@ func DefaultParams() Params {
 }
 
 // ParamsFromEnv starts from DefaultParams and applies the RENUCA_INSTR,
-// RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP, RENUCA_SEED,
-// RENUCA_WORKERS and RENUCA_QUEUE environment overrides, so benchmark runs
-// can be scaled without editing code. RENUCA_QUEUE=1 (or "true") arms the
-// bank-queue contention model across all experiments.
+// RENUCA_WARMUP, RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP, RENUCA_SEED and
+// RENUCA_WORKERS environment overrides, so benchmark runs can be scaled
+// without editing code.
 //
 // The hardware knobs have overrides too: RENUCA_L2 and RENUCA_L3BANK
 // (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD (criticality percent),
-// RENUCA_INTRABANK_WL=1, RENUCA_WRITE_LAT (cycles) and RENUCA_CWINDOW
-// (cycles). Zero/unset keeps the paper's Table I configuration.
+// RENUCA_INTRABANK_WL=1 and RENUCA_WRITE_LAT (cycles). Zero/unset keeps
+// the paper's Table I configuration.
 func ParamsFromEnv() Params {
 	p := DefaultParams()
 	get := func(name string, dst *uint64) {
@@ -103,9 +95,6 @@ func ParamsFromEnv() Params {
 	get("RENUCA_CHAR_INSTR", &p.CharInstr)
 	get("RENUCA_CHAR_WARMUP", &p.CharWarmup)
 	get("RENUCA_SEED", &p.Seed)
-	if v := os.Getenv("RENUCA_QUEUE"); v == "1" || v == "true" {
-		p.QueueModel = true
-	}
 	get("RENUCA_L2", &p.L2Bytes)
 	get("RENUCA_L3BANK", &p.L3BankBytes)
 	if v := os.Getenv("RENUCA_ROB"); v != "" {
@@ -122,7 +111,6 @@ func ParamsFromEnv() Params {
 		p.IntraBankWL = true
 	}
 	get32("RENUCA_WRITE_LAT", &p.ReRAMWriteLatency)
-	get32("RENUCA_CWINDOW", &p.BankContentionWindow)
 	p.Workers = pool.DefaultWorkers(0)
 	return p
 }
@@ -184,9 +172,6 @@ type Runner struct {
 	suiteFlight  pool.Flight[string, map[string]core.SuiteReport]
 	table2Flight pool.Flight[string, []Table2Row]
 	sweepFlight  pool.Flight[string, []ThresholdPoint]
-
-	queueMu sync.Mutex
-	queueR  *Runner
 }
 
 // NewRunner builds a Runner with the given parameters.
@@ -227,16 +212,18 @@ type UnitRunner interface {
 }
 
 // policyOptions resolves the complete Options for one (variant, policy)
-// cell — scale parameters, the derived per-policy seed, then the variant's
-// modification. It is the single source of suite configuration for both
-// the in-process and the sharded execution paths; the per-workload seed
-// derivation on top of it happens in core.SuiteUnits either way.
+// cell — scale parameters, the derived per-variant seed, then the
+// variant's modification. It is the single source of suite configuration
+// for both the in-process and the sharded execution paths; the
+// per-workload seed derivation on top of it happens in core.SuiteUnits
+// either way. The seed leaves the policy out, so every policy of a
+// variant runs the same instruction streams and policy comparisons are
+// paired; the policy still names the cell's memo entry and unit IDs.
 func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
 	o := core.DefaultOptions(p)
 	o.InstrPerCore = r.P.InstrPerCore
 	o.Warmup = r.P.Warmup
-	o.Seed = core.DeriveSeed(r.P.Seed, v.Key, p.String())
-	o.QueueModel = r.P.QueueModel
+	o.Seed = core.DeriveSeed(r.P.Seed, v.Key)
 	// Hardware knob overrides (zero = Table I default, matching the
 	// Options zero value, so copying unconditionally changes nothing at
 	// default scale). The variant's own modification runs last and wins.
@@ -246,26 +233,24 @@ func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
 	o.CriticalityThresholdPct = r.P.CriticalityThresholdPct
 	o.IntraBankWL = r.P.IntraBankWL
 	o.ReRAMWriteLatency = r.P.ReRAMWriteLatency
-	o.BankContentionWindow = r.P.BankContentionWindow
 	v.Mod(&o)
 	return o
 }
 
 // memoKey folds every result-affecting Params field into a Flight memo
 // key. The Flights live per-Runner, but a Runner's P is exported and
-// mutable between calls — and PR 8's derived queue Runner exists precisely
-// because "same key, different Params" silently returns the other
-// configuration's results. Keying on the resolved Params makes that class
-// of stale hit impossible (keyflow enforces it statically). Workers is
-// deliberately excluded: results are byte-identical for every worker
-// count, so folding it in would only fragment the cache.
+// mutable between calls, and "same key, different Params" would silently
+// return the other configuration's results. Keying on the resolved Params
+// makes that class of stale hit impossible (keyflow enforces it
+// statically). Workers is deliberately excluded: results are
+// byte-identical for every worker count, so folding it in would only
+// fragment the cache.
 func (r *Runner) memoKey(base string) string {
 	p := r.P
-	return fmt.Sprintf("%s|i%d w%d ci%d cw%d s%d q%t l2b%d l3b%d rob%d th%g wl%t lat%d cw%d",
+	return fmt.Sprintf("%s|i%d w%d ci%d cw%d s%d l2b%d l3b%d rob%d th%g wl%t lat%d",
 		base, p.InstrPerCore, p.Warmup, p.CharInstr, p.CharWarmup, p.Seed,
-		p.QueueModel, p.L2Bytes, p.L3BankBytes, p.ROBEntries,
-		p.CriticalityThresholdPct, p.IntraBankWL, p.ReRAMWriteLatency,
-		p.BankContentionWindow)
+		p.L2Bytes, p.L3BankBytes, p.ROBEntries,
+		p.CriticalityThresholdPct, p.IntraBankWL, p.ReRAMWriteLatency)
 }
 
 // suiteSet runs (or returns the memoised) five-policy suite for a variant.
@@ -307,28 +292,6 @@ func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 		}
 		return set, nil
 	})
-}
-
-// queueRunner returns a Runner whose suites run with the bank-queue
-// contention model armed. When r already has it on, r itself is returned
-// and the contention experiment shares r's memoised suites; otherwise a
-// derived Runner (same scale, Log and Exec, its own memoisation) is built
-// once and cached, so the queue-on suites never perturb r's queue-off
-// suites — the existing goldens stay byte-identical.
-func (r *Runner) queueRunner() *Runner {
-	if r.P.QueueModel {
-		return r
-	}
-	r.queueMu.Lock()
-	defer r.queueMu.Unlock()
-	if r.queueR == nil {
-		qp := r.P
-		qp.QueueModel = true
-		// Share r's pool so total simulation concurrency stays bounded at
-		// P.Workers across both runners.
-		r.queueR = &Runner{P: qp, Log: r.Log, Exec: r.Exec, pool: r.pool}
-	}
-	return r.queueR
 }
 
 // suiteSetSharded dispatches a variant's full policy-cross-workload unit

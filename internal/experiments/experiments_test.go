@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // tinyParams keeps experiment tests fast; shapes and plumbing are what is
@@ -53,6 +55,45 @@ func TestVariants(t *testing.T) {
 	}
 	if _, err := VariantByKey("nope"); err == nil {
 		t.Error("unknown variant must error")
+	}
+}
+
+// TestPolicySeedsPaired pins paired policy comparisons: within a variant
+// every policy resolves to the same seed, so every policy's units of one
+// workload simulate the same instruction streams, while the unit IDs —
+// dispatch and memo identity — stay distinct per policy. Variants keep
+// distinct seeds.
+func TestPolicySeedsPaired(t *testing.T) {
+	r := NewRunner(tinyParams())
+	wls := r.workloads()
+	variantSeeds := map[uint64]string{}
+	for _, v := range Variants() {
+		seed := r.policyOptions(v, core.Policies()[0]).Seed
+		if other, dup := variantSeeds[seed]; dup {
+			t.Errorf("variants %s and %s share seed %#x", other, v.Key, seed)
+		}
+		variantSeeds[seed] = v.Key
+		ids := map[string]bool{}
+		unitSeeds := map[string]uint64{}
+		for _, p := range core.Policies() {
+			if got := r.policyOptions(v, p).Seed; got != seed {
+				t.Errorf("variant %s: policy %s seed %#x, want the variant's %#x", v.Key, p, got, seed)
+			}
+			for _, u := range core.SuiteUnits(v.Key, r.policyOptions(v, p), wls) {
+				if ids[u.ID] {
+					t.Errorf("variant %s: unit ID %q repeats across policies", v.Key, u.ID)
+				}
+				ids[u.ID] = true
+				if s, ok := unitSeeds[u.Workload]; ok && s != u.Opts.Seed {
+					t.Errorf("variant %s workload %s: policy %s runs seed %#x, another policy %#x",
+						v.Key, u.Workload, p, u.Opts.Seed, s)
+				}
+				unitSeeds[u.Workload] = u.Opts.Seed
+			}
+		}
+		if len(ids) != len(core.Policies())*len(wls) {
+			t.Errorf("variant %s: %d distinct unit IDs, want %d", v.Key, len(ids), len(core.Policies())*len(wls))
+		}
 	}
 }
 

@@ -45,54 +45,6 @@ func TestSuiteGoldenOutput(t *testing.T) {
 	compareGolden(t, "Workers=8", renderSuiteOutputs(t, parallelP), string(want))
 }
 
-// renderContentionOutputs renders the bank-contention study (queue model
-// armed, five policies, op-history plus every per-bank service histogram)
-// for the "actual" variant at the given parameters.
-func renderContentionOutputs(t *testing.T, p Params) string {
-	t.Helper()
-	p.QueueModel = true
-	cr, err := NewRunner(p).Contention(mustVariant("actual"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cr.Render()
-}
-
-// TestContentionGoldenOutput is TestSuiteGoldenOutput's twin for the
-// queue-model-on suite: the contention study's rendered op-history counts
-// and per-bank service-latency histograms are pinned byte-for-byte, at
-// Workers=1 and 8 — the queue model (timestamps, histograms, the
-// op-history map) must stay deterministic under every execution mode.
-// Regenerate deliberately with
-// go test ./internal/experiments -run ContentionGolden -update.
-func TestContentionGoldenOutput(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "tiny_suite_queue.golden")
-
-	serialP := tinyParams()
-	serialP.Workers = 1
-	got := renderContentionOutputs(t, serialP)
-
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, len(got))
-	}
-
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	compareGolden(t, "Workers=1", got, string(want))
-
-	parallelP := tinyParams()
-	parallelP.Workers = 8
-	compareGolden(t, "Workers=8", renderContentionOutputs(t, parallelP), string(want))
-}
-
 // compareGolden fails with the first differing line rather than dumping two
 // full renders, so a one-counter drift reads as one line of diff.
 func compareGolden(t *testing.T, label, got, want string) {

@@ -21,9 +21,14 @@ func renderSuiteOutputsOn(t *testing.T, r *Runner) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cr, err := r.Contention(mustVariant("actual"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return lr.RenderPerBank("Figure 3", []string{"S-NUCA", "R-NUCA", "Private", "Naive"}) +
 		lr.RenderFigure4([]string{"Naive", "S-NUCA", "Re-NUCA", "R-NUCA", "Private"}) +
-		lr.RenderIPCImprovements("Figure 11")
+		lr.RenderIPCImprovements("Figure 11") +
+		cr.Render()
 }
 
 // TestParallelDeterminism is the determinism regression guard for the

@@ -15,6 +15,7 @@ var invariantPkgs = []string{
 	"/internal/noc",
 	"/internal/dram",
 	"/internal/rram",
+	"/internal/timeline",
 }
 
 // newInvariantCall guarantees the simcheck sanitizer cannot silently lose
@@ -33,7 +34,7 @@ var invariantPkgs = []string{
 func newInvariantCall() *Analyzer {
 	a := &Analyzer{
 		Name: "invariantcall",
-		Doc:  "exported state-mutating methods in coherence/cache/noc/dram/rram must call a sanCheck* simcheck hook",
+		Doc:  "exported state-mutating methods in coherence/cache/noc/dram/rram/timeline must call a sanCheck* simcheck hook",
 	}
 	a.Run = func(p *Pass) {
 		inScope := false

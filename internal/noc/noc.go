@@ -1,11 +1,16 @@
 // Package noc models the switched on-chip network connecting cores and LLC
 // banks: a Width x Height mesh with XY (dimension-ordered) routing, a fixed
-// per-hop latency, and per-directed-link serialisation modelled with
-// next-free timestamps. The paper's configuration (Table I) is a 4x4 mesh
-// with one core and one 2MB ReRAM bank per tile.
+// per-hop latency, and per-directed-link serialisation booked on one
+// reservation calendar per link (package timeline). The paper's
+// configuration (Table I) is a 4x4 mesh with one core and one 2MB ReRAM
+// bank per tile.
 package noc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/timeline"
+)
 
 // Direction indexes the four outgoing links of a router.
 type Direction uint8
@@ -28,20 +33,12 @@ type Config struct {
 	// line, serialised into flits) passes over it.
 	CtrlOccupancy uint32
 	DataOccupancy uint32
-	// ContentionWindow bounds how far ahead a link reservation can stall an
-	// earlier message. The link model keeps a single next-free timestamp;
-	// walks reserve links at their actual (possibly future) traversal
-	// times, so without a window a message would queue behind a
-	// reservation hundreds of cycles ahead even though the link is idle in
-	// between. Reservations further than this window ahead are treated as
-	// leaving an idle gap the message slips through.
-	ContentionWindow uint32
 }
 
 // DefaultConfig is the paper's 4x4 mesh with 2-cycle hops and 64B lines
 // serialised over 16B links.
 func DefaultConfig() Config {
-	return Config{Width: 4, Height: 4, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 4, ContentionWindow: 16}
+	return Config{Width: 4, Height: 4, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 4}
 }
 
 // Stats accumulates traffic counters.
@@ -50,13 +47,16 @@ type Stats struct {
 	TotalHops uint64
 	// StallCycles accumulates time messages spent waiting for busy links.
 	StallCycles uint64
+	// OutOfOrder counts link bookings that started before the latest
+	// booking already on their link (timeline.Set.OutOfOrder).
+	OutOfOrder uint64
 }
 
 // Mesh is the network. Not safe for concurrent use.
 type Mesh struct {
-	cfg      Config
-	tiles    int
-	linkFree []uint64 // [tile*numDirs + dir] -> cycle the link is next free
+	cfg   Config
+	tiles int
+	links timeline.Set // [tile*numDirs + dir]: one calendar per directed link
 	// XY routes are fixed by the topology, so the per-hop coordinate
 	// arithmetic is evaluated once at construction: routeLinks holds the
 	// concatenated link indices of every (from, to) pair's route, and
@@ -80,17 +80,14 @@ func New(cfg Config) (*Mesh, error) {
 	if cfg.CtrlOccupancy == 0 || cfg.DataOccupancy == 0 {
 		return nil, fmt.Errorf("noc: zero link occupancy")
 	}
-	if cfg.ContentionWindow == 0 {
-		return nil, fmt.Errorf("noc: zero contention window")
-	}
 	t := cfg.Width * cfg.Height
-	m := &Mesh{cfg: cfg, tiles: t, linkFree: make([]uint64, t*int(numDirs))}
+	m := &Mesh{cfg: cfg, tiles: t, links: timeline.NewSet(t * int(numDirs))}
 	m.buildRoutes()
 	return m, nil
 }
 
 // buildRoutes precomputes the XY route of every (from, to) pair as a flat
-// list of directed-link indices into linkFree.
+// list of directed-link indices into links.
 func (m *Mesh) buildRoutes() {
 	m.routeStart = make([]int32, m.tiles*m.tiles+1)
 	m.routeLinks = make([]int32, 0, m.tiles*m.tiles*(m.cfg.Width+m.cfg.Height)/2)
@@ -139,10 +136,22 @@ func (m *Mesh) Config() Config { return m.cfg }
 func (m *Mesh) Tiles() int { return m.tiles }
 
 // Stats returns a copy of the counters.
-func (m *Mesh) Stats() Stats { return m.stats }
+func (m *Mesh) Stats() Stats { return m.stats.withOutOfOrder(m.links.OutOfOrder()) }
 
-// ResetStats zeroes the counters.
-func (m *Mesh) ResetStats() { m.stats = Stats{} }
+func (s Stats) withOutOfOrder(n uint64) Stats {
+	s.OutOfOrder = n
+	return s
+}
+
+// ResetStats zeroes the counters; link bookings survive.
+func (m *Mesh) ResetStats() {
+	m.stats = Stats{}
+	m.links.ResetCounts()
+}
+
+// Advance declares that no message will depart before cycle now, so the
+// link calendars may drop bookings that have ended (timeline.Set).
+func (m *Mesh) Advance(now uint64) { m.links.Advance(now) }
 
 // coord splits a tile id into (x, y).
 func (m *Mesh) coord(tile int) (x, y int) {
@@ -164,10 +173,12 @@ func abs(a int) int {
 }
 
 // Traverse routes one message from tile 'from' to tile 'to', departing no
-// earlier than 'start', occupying each link for 'occupancy' cycles, and
-// returns the arrival cycle at the destination. Routing is XY: fully along
-// the X dimension first, then Y, which is deadlock-free on a mesh. A
-// same-tile message arrives immediately (local bank access).
+// earlier than 'start', and returns the arrival cycle at the destination.
+// Each hop books its link for 'occupancy' cycles in the earliest free gap
+// at or after the message reaches it, then takes HopLatency cycles.
+// Routing is XY: fully along the X dimension first, then Y, which is
+// deadlock-free on a mesh. A same-tile message arrives immediately (local
+// bank access).
 //
 //lint:hotpath
 func (m *Mesh) Traverse(from, to int, start uint64, occupancy uint32) uint64 {
@@ -175,32 +186,23 @@ func (m *Mesh) Traverse(from, to int, start uint64, occupancy uint32) uint64 {
 		panic(fmt.Sprintf("noc: tile out of range: %d -> %d (tiles=%d)", from, to, m.tiles))
 	}
 	if from == to {
-		m.sanCheckTraverse(from, to, start, start)
+		m.sanCheckTraverse(from, to, start, start, 0)
 		return start
 	}
 	m.stats.Messages++
 	now := start
 	occ := uint64(occupancy)
 	hop := uint64(m.cfg.HopLatency)
-	window := uint64(m.cfg.ContentionWindow)
+	var stall uint64
 	pair := from*m.tiles + to
 	for _, li := range m.routeLinks[m.routeStart[pair]:m.routeStart[pair+1]] {
-		depart := now
-		if free := m.linkFree[li]; free > depart {
-			if free-depart <= window {
-				m.stats.StallCycles += free - depart
-				depart = free
-				m.linkFree[li] = depart + occ
-			}
-			// Otherwise the reservation is far ahead: the message uses the
-			// idle gap before it, leaving the future reservation in place.
-		} else {
-			m.linkFree[li] = depart + occ
-		}
+		depart := m.links.Reserve(int(li), now, occ)
+		stall += depart - now
 		now = depart + hop
 		m.stats.TotalHops++
 	}
-	m.sanCheckTraverse(from, to, start, now)
+	m.stats.StallCycles += stall
+	m.sanCheckTraverse(from, to, start, now, stall)
 	return now
 }
 

@@ -9,12 +9,11 @@ func mesh4() *Mesh { return MustNew(DefaultConfig()) }
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	bad := []Config{
-		{Width: 0, Height: 4, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 4, ContentionWindow: 16},
-		{Width: 4, Height: -1, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 4, ContentionWindow: 16},
-		{Width: 4, Height: 4, HopLatency: 0, CtrlOccupancy: 1, DataOccupancy: 4, ContentionWindow: 16},
-		{Width: 4, Height: 4, HopLatency: 2, CtrlOccupancy: 0, DataOccupancy: 4, ContentionWindow: 16},
-		{Width: 4, Height: 4, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 0, ContentionWindow: 16},
-		{Width: 4, Height: 4, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 4},
+		{Width: 0, Height: 4, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 4},
+		{Width: 4, Height: -1, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 4},
+		{Width: 4, Height: 4, HopLatency: 0, CtrlOccupancy: 1, DataOccupancy: 4},
+		{Width: 4, Height: 4, HopLatency: 2, CtrlOccupancy: 0, DataOccupancy: 4},
+		{Width: 4, Height: 4, HopLatency: 2, CtrlOccupancy: 1, DataOccupancy: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -99,8 +98,7 @@ func TestDisjointPathsNoContention(t *testing.T) {
 
 func TestXYRoutingDeterministicPath(t *testing.T) {
 	// From 0 (0,0) to 10 (2,2): XY goes east twice then south twice. Verify
-	// by occupying the east links (within the contention window) and seeing
-	// the message stall.
+	// by occupying the east links and seeing the message stall.
 	m := mesh4()
 	m.Traverse(0, 2, 0, 10) // links 0->1 busy 0..9 and 1->2 busy 2..11
 	arr := m.Traverse(0, 10, 0, 1)
@@ -121,6 +119,39 @@ func TestFarFutureReservationDoesNotStall(t *testing.T) {
 	}
 	if m.Stats().StallCycles != 0 {
 		t.Error("far-future reservation must not stall earlier traffic")
+	}
+	if got := m.Stats().OutOfOrder; got != 1 {
+		t.Errorf("OutOfOrder = %d, want 1", got)
+	}
+}
+
+// A message that collides with a booking waits for all of it, however long
+// the backlog: there is no cap on a stall.
+func TestCollidingMessageWaitsInFull(t *testing.T) {
+	m := mesh4()
+	for i := 0; i < 20; i++ {
+		m.Traverse(0, 1, 100, 4) // link 0->1 booked [100,180)
+	}
+	if arr := m.Traverse(0, 1, 110, 4); arr != 182 {
+		t.Errorf("arrival %d, want 182 (departs when the 80-cycle backlog ends)", arr)
+	}
+}
+
+// Advance lets the link calendars drop ended bookings without changing an
+// arrival: an advanced mesh and an unadvanced one agree on every message.
+func TestAdvanceDoesNotChangeArrivals(t *testing.T) {
+	a, b := mesh4(), mesh4()
+	var now uint64
+	for i := uint64(0); i < 3000; i++ {
+		now += i % 3
+		a.Advance(now)
+		from, to, start := int(i*7%16), int(i*11%16), now+(i*37)%50
+		if x, y := a.DataTraverse(from, to, start), b.DataTraverse(from, to, start); x != y {
+			t.Fatalf("message %d: advanced mesh arrives at %d, unadvanced at %d", i, x, y)
+		}
+	}
+	if a.Stats() != b.Stats() || a.Stats().OutOfOrder == 0 {
+		t.Errorf("stats differ or saw no out-of-order arrivals: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }
 
@@ -211,7 +242,7 @@ func TestPrecomputedRoutesMatchXY(t *testing.T) {
 			sawY := false
 			tile := from
 			for _, li := range route {
-				if int(li) < 0 || int(li) >= len(m.linkFree) {
+				if int(li) < 0 || int(li) >= m.tiles*int(numDirs) {
 					t.Fatalf("route %d->%d link index %d out of range", from, to, li)
 				}
 				if int(li)/int(numDirs) != tile {

@@ -8,4 +8,4 @@ package noc
 
 type sanState struct{}
 
-func (m *Mesh) sanCheckTraverse(from, to int, start, arrival uint64) {}
+func (m *Mesh) sanCheckTraverse(from, to int, start, arrival, stall uint64) {}

@@ -36,7 +36,7 @@ func TestSanitizerCatchesLostFlit(t *testing.T) {
 }
 
 // TestSanitizerAcceptsLegalTraffic drives contended traversals in both
-// directions with the sanitizer armed; the latency envelope must hold.
+// directions with the sanitizer armed; the latency identity must hold.
 func TestSanitizerAcceptsLegalTraffic(t *testing.T) {
 	m, err := New(DefaultConfig())
 	if err != nil {

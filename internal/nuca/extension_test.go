@@ -87,8 +87,8 @@ func TestBankServiceReadVsWrite(t *testing.T) {
 		Banks: 16, FramesPerBank: cfg.BankBytes / 64, Endurance: 1e11, ClockHz: 1, CapYears: 50,
 	})
 	l := MustNew(cfg, w)
-	read := l.BankService(0, 0, 1000, false) - 1000
-	write := l.BankService(1, 0, 1000, true) - 1000
+	read := l.BankService(0, 1000, false) - 1000
+	write := l.BankService(1, 1000, true) - 1000
 	if read != uint64(cfg.BankLatency) {
 		t.Errorf("read service %d, want %d", read, cfg.BankLatency)
 	}
@@ -99,28 +99,37 @@ func TestBankServiceReadVsWrite(t *testing.T) {
 
 func TestBankServiceSerialisesWithinWindow(t *testing.T) {
 	l := smallLLC(SNUCA)
-	a := l.BankService(0, 0, 100, false)
-	b := l.BankService(0, 0, 100, false) // same bank, same cycle
-	if b <= a-uint64(l.Config().BankLatency)+1 {
-		t.Errorf("second access not delayed: %d then %d", a, b)
+	occ := uint64(l.Config().BankOccupancy)
+	a := l.BankService(0, 100, false)
+	b := l.BankService(0, 100, false) // same bank, same cycle
+	if b != a+occ {
+		t.Errorf("second access completed at %d, want %d (one occupancy after the first)", b, a+occ)
 	}
 	// A different bank is independent.
-	c := l.BankService(1, 0, 100, false)
+	c := l.BankService(1, 100, false)
 	if c != 100+uint64(l.Config().BankLatency) {
 		t.Errorf("cross-bank access delayed: %d", c)
 	}
 }
 
+// An early request fills the idle time before a far-future booking; one
+// whose occupancy does not fit in the gap waits for the booking instead.
 func TestBankServiceFarFutureReservationSlips(t *testing.T) {
 	l := smallLLC(SNUCA)
-	l.BankService(0, 0, 100_000, true) // far-future write occupancy
-	early := l.BankService(0, 0, 100, false)
-	if early != 100+uint64(l.Config().BankLatency) {
-		t.Errorf("early read stalled behind far-future reservation: %d", early)
+	lat := uint64(l.Config().BankLatency)
+	occ := uint64(l.Config().WriteOccupancy)
+	l.BankService(0, 100_000, true) // far-future write occupancy
+	if early := l.BankService(0, 100, false); early != 100+lat {
+		t.Errorf("early read stalled behind far-future booking: completed at %d, want %d", early, 100+lat)
 	}
-	// The shortcut is no longer silent: the uncharged service is counted.
-	if got := l.Stats().Queue.Slipped; got != 1 {
-		t.Errorf("Slipped = %d, want 1", got)
+	// A write whose occupancy overlaps the booking waits it out in full.
+	tight := 100_000 - occ/2
+	if got := l.BankService(0, tight, true); got != 100_000+occ+uint64(l.Config().WriteLatency) {
+		t.Errorf("write into a too-short gap completed at %d, want %d", got, 100_000+occ+uint64(l.Config().WriteLatency))
+	}
+	q := l.Stats().Queue
+	if q.OutOfOrder != 2 || q.ReadQueued != 0 || q.WriteQueued != 1 {
+		t.Errorf("queue stats %+v, want OutOfOrder 2, one write queued", q)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/rram"
 	"repro/internal/stats"
+	"repro/internal/timeline"
 )
 
 // Config sizes the LLC and selects its policy. The defaults in
@@ -31,24 +32,6 @@ type Config struct {
 	// pipelined; writes hold the array longer).
 	BankOccupancy  uint32
 	WriteOccupancy uint32
-	// QueueModel replaces the next-free-timestamp approximation of bank
-	// contention with a real per-bank FIFO queue: every request reserves
-	// the data array for its occupancy, so reads queue behind outstanding
-	// writes (and vice versa) with no slip window — arbitrarily deep
-	// backlogs are charged in full. It also arms the sniper-style
-	// op-history transition counters (Stats.Queue RAR/RAW/WAR/WAW) and
-	// per-bank service-latency histograms (ServiceStats). Disabled, the
-	// legacy windowed model runs and timing is byte-identical to the
-	// pre-queue simulator.
-	QueueModel bool
-	// BankContentionWindow bounds how far the legacy (QueueModel=false)
-	// model lets a request wait for a busy bank, mirroring
-	// noc.ContentionWindow: a request arriving while the bank is busy
-	// further in the future than the window slips through uncharged (and
-	// is counted in Stats.Queue.Slipped so the shortcut is visible).
-	// Zero means the historical default of 64 cycles. Ignored by the
-	// queue model, which never slips.
-	BankContentionWindow uint32
 	// DirLatency is the directory-lookup latency the Naive oracle pays on
 	// every access before it can locate (or place) a line. Section III-A
 	// argues this directory is what makes the scheme infeasible: locating
@@ -86,9 +69,6 @@ func DefaultConfig() Config {
 		WriteOccupancy: 20,
 		DirLatency:     250,
 
-		QueueModel:           false,
-		BankContentionWindow: 64,
-
 		IntraBankWL:     false,
 		IntraBankPeriod: 64,
 	}
@@ -111,22 +91,25 @@ type Stats struct {
 	Queue             QueueStats
 }
 
-// QueueStats counts bank-queue behaviour. The wait/queued counters and the
-// op-history transitions are only advanced by the queue model
-// (Config.QueueModel); Slipped is the legacy model's honesty counter — how
-// many busy-bank requests were served uncharged because the bank's
-// next-free time lay beyond the contention window.
+// QueueStats counts bank contention under the reservation calendar.
 type QueueStats struct {
-	Slipped uint64 // legacy model: uncharged busy-bank requests
+	// Slipped is always zero: the calendar never serves a request without
+	// charging its wait. The field stays only because the benchmark in
+	// perfbench/ reads it; remove it with the next benchmark change.
+	Slipped uint64
 
 	ReadQueued      uint64 // reads that found their bank busy and waited
 	WriteQueued     uint64
-	ReadWaitCycles  uint64 // cycles reads spent queued before the array
+	ReadWaitCycles  uint64 // cycles reads spent waiting for the array
 	WriteWaitCycles uint64
+	// OutOfOrder counts bank requests that started before the latest
+	// booking already on their bank (timeline.Set.OutOfOrder).
+	OutOfOrder uint64
 
-	// Op-history transition counts per line address, sniper-style: the
-	// second letter is the previous operation on the line, the first the
-	// current one (RAW = read arriving after a write). RAW/WAR are the
+	// Op-history transition counts per resident line, sniper-style: the
+	// second letter is the previous operation on the line's frame, the
+	// first the current one (RAW = read arriving after a write). A fill
+	// starts a line's history with its write. RAW/WAR are the
 	// paper-critical pair — reads colliding with ReRAM's slow writes.
 	RAR uint64
 	RAW uint64
@@ -134,9 +117,9 @@ type QueueStats struct {
 	WAW uint64
 }
 
-// BankServiceStats holds one bank's service-latency distributions under
-// the queue model: the full request-to-data time (queue wait + array
-// latency) of every read and write the bank served.
+// BankServiceStats holds one bank's service-latency distributions: the
+// full request-to-data time (wait + array latency) of every read and write
+// the bank served.
 type BankServiceStats struct {
 	Read  stats.Histogram
 	Write stats.Histogram
@@ -174,22 +157,16 @@ type LLC struct {
 	rotCounter []uint64
 	frames     uint64
 
-	// bankFree serialises bank accesses: the next cycle each ReRAM bank
-	// can accept a request. Managed by the simulator through BankService.
-	// Under the queue model it is the exact tail of the bank's FIFO; under
-	// the legacy model it is the windowed approximation.
-	bankFree []uint64
+	// cal books each bank's data array (BankService); svc holds the
+	// per-bank service histograms.
+	cal timeline.Set
+	svc []BankServiceStats
 
-	// Queue-model state: the hoisted QueueModel flag and contention
-	// window, the per-line-address last-operation map feeding the
-	// RAR/RAW/WAR/WAW transition counters, and the per-bank service
-	// histograms. lastOp and svc are non-nil iff the queue model is on.
-	queue  bool
-	window uint64
-	lastOp map[uint64]uint8
-	svc    []BankServiceStats
-
-	san sanState
+	// lastWrite has one bit per frame, indexed bank*frames + frame (64 KB
+	// at Table I): set when the last operation on the frame's resident
+	// line was a write. A fill writes, so every line's history starts
+	// there. It feeds the RAR/RAW/WAR/WAW transition counters.
+	lastWrite []uint64
 
 	// Widened copies of the read/write service parameters, hoisted out of
 	// BankService (called at least once per LLC access and write-back).
@@ -250,7 +227,9 @@ func New(cfg Config, wear *rram.Wear) (*LLC, error) {
 		l.dir = make(map[uint64]int)
 	}
 	l.frames = cfg.BankBytes / cfg.LineBytes
-	l.bankFree = make([]uint64, cfg.NumBanks)
+	l.cal = timeline.NewSet(cfg.NumBanks)
+	l.svc = make([]BankServiceStats, cfg.NumBanks)
+	l.lastWrite = make([]uint64, (uint64(cfg.NumBanks)*l.frames+63)/64)
 	if cfg.WriteLatency == 0 {
 		l.cfg.WriteLatency = cfg.BankLatency
 	}
@@ -266,15 +245,6 @@ func New(cfg Config, wear *rram.Wear) (*LLC, error) {
 		}
 		l.rotOffset = make([]uint64, cfg.NumBanks)
 		l.rotCounter = make([]uint64, cfg.NumBanks)
-	}
-	if cfg.BankContentionWindow == 0 {
-		l.cfg.BankContentionWindow = 64
-	}
-	l.queue = cfg.QueueModel
-	l.window = uint64(l.cfg.BankContentionWindow)
-	if cfg.QueueModel {
-		l.lastOp = make(map[uint64]uint8)
-		l.svc = make([]BankServiceStats, cfg.NumBanks)
 	}
 	l.readOcc = uint64(l.cfg.BankOccupancy)
 	l.readLat = uint64(l.cfg.BankLatency)
@@ -324,7 +294,11 @@ func MustNew(cfg Config, wear *rram.Wear) *LLC {
 func (l *LLC) Config() Config { return l.cfg }
 
 // Stats returns a copy of the aggregate counters.
-func (l *LLC) Stats() Stats { return l.stats }
+func (l *LLC) Stats() Stats {
+	s := l.stats
+	s.Queue.OutOfOrder = l.cal.OutOfOrder()
+	return s
+}
 
 // BankStats returns the per-bank cache counters.
 func (l *LLC) BankStats(bank int) cache.Stats { return l.banks[bank].Stats() }
@@ -333,11 +307,12 @@ func (l *LLC) BankStats(bank int) cache.Stats { return l.banks[bank].Stats() }
 func (l *LLC) Wear() *rram.Wear { return l.wear }
 
 // ResetStats zeroes aggregate, per-bank, service-histogram and wear
-// counters (warmup boundary). Timing state — bankFree tails and the
-// op-history map — survives: the banks stay busy across the boundary just
-// as the NoC links do.
+// counters (warmup boundary). Timing state — the bank calendars and the
+// op history — survives: the banks stay busy across the boundary just as
+// the NoC links do.
 func (l *LLC) ResetStats() {
 	l.stats = Stats{}
+	l.cal.ResetCounts()
 	for _, b := range l.banks {
 		b.ResetStats()
 	}
@@ -432,6 +407,7 @@ func (l *LLC) Access(addr uint64, core int, critical, write bool) AccessResult {
 			res.Bank = b
 			res.NumProbes = i + 1
 			res.Frame = frame
+			l.recordOpHistory(b, frame, write)
 			if write {
 				l.wear.RecordWrite(b, l.wearFrame(b, frame))
 				l.recordWriteCriticality(critical)
@@ -506,6 +482,8 @@ func (l *LLC) FillBank(addr uint64, core int, critical bool) int {
 func (l *LLC) Fill(addr uint64, core int, critical, dirty bool) FillResult {
 	bank := l.FillBank(addr, core, critical)
 	victim, frame := l.banks[bank].FillFrame(addr, dirty)
+	i := uint64(bank)*l.frames + frame
+	l.lastWrite[i>>6] |= 1 << (i & 63)
 	l.wear.RecordWrite(bank, l.wearFrame(bank, frame))
 	l.recordWriteCriticality(critical)
 	l.stats.Fills++
@@ -549,101 +527,68 @@ func (l *LLC) ResidentBanks(addr uint64) []int {
 	return out
 }
 
-// BankService charges one bank access to addr starting no earlier than
-// start: the request waits for the bank, occupies its data array for the
-// read/write occupancy, and the data is available after the read or write
-// latency. It returns the completion cycle.
-//
-// Under the queue model (Config.QueueModel) the bank is a real FIFO: a
-// request always begins at max(start, bank tail), however deep the
-// backlog, so reads pay in full for colliding with in-flight ReRAM
-// writes. Wait cycles, op-history transitions on addr's line and the
-// service-time histogram are recorded as side effects.
-//
-// The legacy model only waits within BankContentionWindow cycles (see
-// package noc for why single next-free timestamps need a window); a
-// request arriving while the bank is busy beyond the window slips through
-// uncharged, counted in Stats.Queue.Slipped.
+// Advance declares that no bank request will start before cycle now, so
+// the bank calendars may drop bookings that have ended (timeline.Set).
+func (l *LLC) Advance(now uint64) { l.cal.Advance(now) }
+
+// BankService charges one bank access starting no earlier than start: the
+// request books the bank's data array for the read or write occupancy in
+// the earliest free gap at or after start (timeline.Set), and the
+// data is available the read or write latency after the booking begins.
+// It returns the completion cycle, and records the wait and the
+// service-time histogram sample.
 //
 //lint:hotpath
-func (l *LLC) BankService(bank int, addr, start uint64, write bool) uint64 {
+func (l *LLC) BankService(bank int, start uint64, write bool) uint64 {
 	occ, lat := l.readOcc, l.readLat
 	if write {
 		occ, lat = l.writeOcc, l.writeLat
 	}
-	begin := start
-	if l.queue {
-		if free := l.bankFree[bank]; free > begin {
-			begin = free
-			if write {
-				l.stats.Queue.WriteQueued++
-				l.stats.Queue.WriteWaitCycles += free - start
-			} else {
-				l.stats.Queue.ReadQueued++
-				l.stats.Queue.ReadWaitCycles += free - start
-			}
+	begin := l.cal.Reserve(bank, start, occ)
+	complete := begin + lat
+	if write {
+		if begin > start {
+			l.stats.Queue.WriteQueued++
+			l.stats.Queue.WriteWaitCycles += begin - start
 		}
-		l.bankFree[bank] = begin + occ
-		l.recordOpHistory(addr, write)
-		complete := begin + lat
-		if write {
-			l.svc[bank].Write.Observe(complete - start)
-		} else {
-			l.svc[bank].Read.Observe(complete - start)
+		l.svc[bank].Write.Observe(complete - start)
+	} else {
+		if begin > start {
+			l.stats.Queue.ReadQueued++
+			l.stats.Queue.ReadWaitCycles += begin - start
 		}
-		l.sanCheckBankService(bank, start, begin, occ)
-		return complete
+		l.svc[bank].Read.Observe(complete - start)
 	}
-	if free := l.bankFree[bank]; free > begin {
-		if free-begin <= l.window {
-			begin = free
-		} else {
-			l.stats.Queue.Slipped++
-		}
-	}
-	if begin+occ > l.bankFree[bank] {
-		l.bankFree[bank] = begin + occ
-	}
-	l.sanCheckBankService(bank, start, begin, occ)
-	return begin + lat
+	return complete
 }
 
 // recordOpHistory classifies the transition from the previous operation on
-// addr's line to this one (sniper's rar/war/raw/waw counters) and records
-// the new last operation. Only called under the queue model.
+// the frame's resident line to this one (sniper's rar/war/raw/waw
+// counters) and records the new last operation.
 //
 //lint:hotpath
-func (l *LLC) recordOpHistory(addr uint64, write bool) {
-	la := addr >> l.lineShift
-	const (
-		opRead  = 1
-		opWrite = 2
-	)
-	switch prev := l.lastOp[la]; {
-	case prev == 0:
-		// First operation on the line: no transition.
-	case write && prev == opWrite:
+func (l *LLC) recordOpHistory(bank int, frame uint64, write bool) {
+	i := uint64(bank)*l.frames + frame
+	w, bit := &l.lastWrite[i>>6], uint64(1)<<(i&63)
+	switch prevWrite := *w&bit != 0; {
+	case write && prevWrite:
 		l.stats.Queue.WAW++
-	case write: // prev == opRead
+	case write:
 		l.stats.Queue.WAR++
-	case prev == opWrite:
+	case prevWrite:
 		l.stats.Queue.RAW++
 	default:
 		l.stats.Queue.RAR++
 	}
 	if write {
-		l.lastOp[la] = opWrite
+		*w |= bit
 	} else {
-		l.lastOp[la] = opRead
+		*w &^= bit
 	}
 }
 
-// ServiceStats returns a copy of the per-bank service-latency histograms,
-// or nil when the queue model is disabled.
+// ServiceStats returns a copy of the per-bank service-latency histograms.
 func (l *LLC) ServiceStats() []BankServiceStats {
-	if l.svc == nil {
-		return nil
-	}
 	out := make([]BankServiceStats, len(l.svc))
 	copy(out, l.svc)
 	return out

@@ -7,15 +7,13 @@ import (
 	"repro/internal/rram"
 )
 
-// queueLLC builds the 4-bank test LLC with the FIFO queue model armed and
-// a write-heavy service asymmetry (300-cycle, 60-occupancy writes against
-// 100-cycle, 4-occupancy reads).
+// queueLLC builds the 4-bank test LLC with a write-heavy service asymmetry
+// (300-cycle, 60-occupancy writes against 100-cycle, 4-occupancy reads).
 func queueLLC(p Policy) *LLC {
 	cfg := Config{
 		Policy: p, NumBanks: 4, BankBytes: 4096, Ways: 4, LineBytes: 64,
 		MeshWidth: 2, MeshHeight: 2, BankLatency: 100, WriteLatency: 300,
 		BankOccupancy: 4, WriteOccupancy: 60, DirLatency: 20,
-		QueueModel: true,
 	}
 	w := rram.MustNew(rram.Config{
 		Banks: 4, FramesPerBank: 4096 / 64, Endurance: 1e11, ClockHz: 2.4e9, CapYears: 50,
@@ -23,21 +21,19 @@ func queueLLC(p Policy) *LLC {
 	return MustNew(cfg, w)
 }
 
-// The bug this PR fixes: the legacy model let a request slip through
-// uncharged when the bank was busy beyond the window. The queue model has
-// no slip — a read behind a far-future write reservation waits in full.
+// A read that collides with booked writes waits for all of them, however
+// far the backlog reaches: no request is ever served uncharged.
 func TestQueueNoSlipBehindFarFutureReservation(t *testing.T) {
 	l := queueLLC(SNUCA)
-	l.BankService(0, 0, 100_000, true) // write occupies [100000,100060)
-	got := l.BankService(0, 64, 100, false)
-	const wantBegin = 100_060
+	for i := 0; i < 10; i++ {
+		l.BankService(0, 100, true) // ten writes book [100,700)
+	}
+	got := l.BankService(0, 100, false)
+	const wantBegin = 700
 	if want := uint64(wantBegin + 100); got != want {
-		t.Errorf("read behind write completed at %d, want %d (no uncharged slip)", got, want)
+		t.Errorf("read behind writes completed at %d, want %d (no uncharged slip)", got, want)
 	}
 	q := l.Stats().Queue
-	if q.Slipped != 0 {
-		t.Errorf("queue model slipped %d requests; it must never slip", q.Slipped)
-	}
 	if q.ReadQueued != 1 || q.ReadWaitCycles != wantBegin-100 {
 		t.Errorf("read wait accounting: %+v, want 1 read queued for %d cycles", q, wantBegin-100)
 	}
@@ -52,90 +48,100 @@ func TestQueueOccupancyConservation(t *testing.T) {
 	occ := uint64(l.Config().BankOccupancy)
 	lat := uint64(l.Config().BankLatency)
 	for i := 0; i < n; i++ {
-		got := l.BankService(0, uint64(i)*64, 0, false)
+		got := l.BankService(0, 0, false)
 		if want := uint64(i)*occ + lat; got != want {
-			t.Fatalf("read %d completed at %d, want %d (FIFO with charged occupancy)", i, got, want)
+			t.Fatalf("read %d completed at %d, want %d (serialised with charged occupancy)", i, got, want)
 		}
 	}
-	if got := l.BankService(0, 0, 0, false); got != n*occ+lat {
+	if got := l.BankService(0, 0, false); got != n*occ+lat {
 		t.Errorf("probe after %d reads completed at %d, want %d: busy cycles != charged occupancy", n, got, n*occ+lat)
 	}
 }
 
-// Per-bank FIFO order: whatever the arrival jitter, service order is issue
-// order — each service begins at or after the previous reservation on the
-// bank ends, never before its own arrival, and completion times within one
-// operation class never go backwards. (Mixed-class completions may cross:
-// a write's data latency outlives its array occupancy, so a later read can
-// legitimately return first.)
+// Arrivals in time order are served in that order, as by a FIFO: each
+// service begins at or after the previous booking on the bank ends and
+// never before its own arrival. Arrivals in any order never overlap on a
+// bank.
 func TestQueueMonotoneServiceOrder(t *testing.T) {
-	l := queueLLC(SNUCA)
-	//lint:allow nondeterminism fixed seed: the draw only shapes arrival jitter; the FIFO invariants must hold for any sequence
+	//lint:allow nondeterminism fixed seed: the draw only shapes arrival jitter; the ordering invariants must hold for any sequence
 	rng := rand.New(rand.NewSource(7))
-	readLat := uint64(l.Config().BankLatency)
-	writeLat := uint64(l.Config().WriteLatency)
-	readOcc := uint64(l.Config().BankOccupancy)
-	writeOcc := uint64(l.Config().WriteOccupancy)
-	var tail [4]uint64
-	var lastComplete [4][2]uint64
-	for i := 0; i < 500; i++ {
-		bank := rng.Intn(4)
-		start := uint64(rng.Intn(1000))
-		write := rng.Intn(3) == 0
-		lat, occ, class := readLat, readOcc, 0
-		if write {
-			lat, occ, class = writeLat, writeOcc, 1
+	readLat := uint64(100)
+	writeLat := uint64(300)
+	readOcc := uint64(4)
+	writeOcc := uint64(60)
+	for _, sorted := range []bool{true, false} {
+		l := queueLLC(SNUCA)
+		var tail [4]uint64
+		var booked [4][][2]uint64
+		start := uint64(0)
+		for i := 0; i < 500; i++ {
+			bank := rng.Intn(4)
+			if sorted {
+				start += uint64(rng.Intn(5))
+			} else {
+				start = uint64(rng.Intn(1000))
+			}
+			write := rng.Intn(3) == 0
+			lat, occ := readLat, readOcc
+			if write {
+				lat, occ = writeLat, writeOcc
+			}
+			begin := l.BankService(bank, start, write) - lat
+			if begin < start {
+				t.Fatalf("op %d began at %d, before its arrival %d", i, begin, start)
+			}
+			if sorted && begin < tail[bank] {
+				t.Fatalf("in-order op %d on bank %d began at %d inside the booking ending %d",
+					i, bank, begin, tail[bank])
+			}
+			tail[bank] = max(tail[bank], begin+occ)
+			for _, b := range booked[bank] {
+				if begin < b[1] && b[0] < begin+occ {
+					t.Fatalf("op %d on bank %d booked [%d,%d), overlapping [%d,%d)",
+						i, bank, begin, begin+occ, b[0], b[1])
+				}
+			}
+			booked[bank] = append(booked[bank], [2]uint64{begin, begin + occ})
 		}
-		complete := l.BankService(bank, uint64(rng.Intn(64))*64, start, write)
-		begin := complete - lat
-		if begin < start {
-			t.Fatalf("op %d began at %d, before its arrival %d", i, begin, start)
-		}
-		if begin < tail[bank] {
-			t.Fatalf("op %d on bank %d began at %d inside the reservation ending %d (FIFO broken)",
-				i, bank, begin, tail[bank])
-		}
-		tail[bank] = begin + occ
-		if complete < lastComplete[bank][class] {
-			t.Fatalf("op %d on bank %d completed at %d, before the previous same-class completion %d",
-				i, bank, complete, lastComplete[bank][class])
-		}
-		lastComplete[bank][class] = complete
 	}
 }
 
+// The op history follows each resident line through its frame: a fill
+// starts the line's history with its write, and every later hit records
+// the transition from the frame's previous operation.
 func TestQueueOpHistoryTransitions(t *testing.T) {
 	l := queueLLC(SNUCA)
-	a, b := uint64(0x1000), uint64(0x2000)
-	t0 := uint64(0)
-	l.BankService(0, a, t0, false) // first touch: no transition
-	l.BankService(0, a, t0, false) // RAR
-	l.BankService(0, a, t0, true)  // WAR
-	l.BankService(0, a, t0, true)  // WAW
-	l.BankService(0, a, t0, false) // RAW
-	l.BankService(1, b, t0, true)  // first touch on b
-	l.BankService(1, b, t0, false) // RAW
+	a, b := uint64(0x1000), uint64(0x2040)
+	l.Fill(a, 0, false, false)   // first operation on a's line: no transition
+	l.Access(a, 0, false, false) // RAW (after the fill's write)
+	l.Access(a, 0, false, false) // RAR
+	l.Access(a, 0, false, true)  // WAR
+	l.Access(a, 0, false, true)  // WAW
+	l.Fill(b, 0, false, true)    // write-allocated line: no transition
+	l.Access(b, 0, false, false) // RAW
 	q := l.Stats().Queue
 	if q.RAR != 1 || q.WAR != 1 || q.WAW != 1 || q.RAW != 2 {
 		t.Errorf("op-history = RAR:%d RAW:%d WAR:%d WAW:%d, want 1/2/1/1", q.RAR, q.RAW, q.WAR, q.WAW)
 	}
-	// Different words of the same line are the same history entry.
-	l.BankService(0, a+8, t0, false) // RAW vs the last write? no — last op on a's line was the read above
-	if got := l.Stats().Queue.RAR; got != 2 {
-		t.Errorf("same-line sub-word access must share history: RAR = %d, want 2", got)
+	// Different words of the same line share the line's frame and history.
+	l.Access(a+8, 0, false, false) // RAW: the last operation on a's line was a write
+	if got := l.Stats().Queue.RAW; got != 3 {
+		t.Errorf("same-line sub-word access must share history: RAW = %d, want 3", got)
+	}
+	// A miss touches no frame and records nothing.
+	l.Access(0x9000, 0, false, false)
+	if got := l.Stats().Queue; got.RAR+got.RAW+got.WAR+got.WAW != 6 {
+		t.Errorf("a miss recorded a transition: %+v", got)
 	}
 }
 
 func TestQueueServiceHistograms(t *testing.T) {
 	l := queueLLC(SNUCA)
 	for i := 0; i < 10; i++ {
-		l.BankService(2, uint64(i)*64, 0, false)
+		l.BankService(2, 0, false)
 	}
-	l.BankService(2, 0, 0, true)
+	l.BankService(2, 0, true)
 	svc := l.ServiceStats()
-	if svc == nil {
-		t.Fatal("queue model must expose service histograms")
-	}
 	if got := svc[2].Read.Total(); got != 10 {
 		t.Errorf("bank 2 read samples = %d, want 10", got)
 	}
@@ -145,19 +151,17 @@ func TestQueueServiceHistograms(t *testing.T) {
 	if got := svc[0].Read.Total() + svc[0].Write.Total(); got != 0 {
 		t.Errorf("untouched bank 0 has %d samples", got)
 	}
-	// The legacy model reports none: snapshots stay shaped as before.
-	if s := smallLLC(SNUCA).ServiceStats(); s != nil {
-		t.Errorf("legacy model must report nil histograms, got %v", s)
-	}
 }
 
 // ResetStats clears counters and histograms (warmup boundary) but keeps
-// the timing state: bank tails and the op-history map carry across, like
-// the NoC's link reservations.
+// the timing state: bank bookings and the op history carry across, like
+// the NoC's link bookings.
 func TestQueueResetStatsKeepsModelState(t *testing.T) {
 	l := queueLLC(SNUCA)
 	a := uint64(0x3000)
-	l.BankService(0, a, 0, true) // tail now at WriteOccupancy
+	l.Fill(a, 0, false, true)
+	l.BankService(0, 0, true) // bank 0 booked [0, WriteOccupancy)
+	l.BankService(0, 0, true) // out of order: bank 0 booked to 2*WriteOccupancy
 	l.ResetStats()
 	if got := l.ServiceStats()[0].Write.Total(); got != 0 {
 		t.Errorf("histograms survived reset: %d samples", got)
@@ -168,11 +172,33 @@ func TestQueueResetStatsKeepsModelState(t *testing.T) {
 	// The bank is still busy from before the boundary...
 	occ := uint64(l.Config().WriteOccupancy)
 	lat := uint64(l.Config().BankLatency)
-	if got := l.BankService(0, a, 0, false); got != occ+lat {
-		t.Errorf("post-reset read completed at %d, want %d (tail must survive reset)", got, occ+lat)
+	if got := l.BankService(0, 0, false); got != 2*occ+lat {
+		t.Errorf("post-reset read completed at %d, want %d (bookings must survive reset)", got, 2*occ+lat)
 	}
-	// ...and the op history remembers the pre-reset write: this read is RAW.
+	// ...and the op history remembers the pre-reset write: this hit is RAW.
+	l.Access(a, 0, false, false)
 	if q := l.Stats().Queue; q.RAW != 1 {
 		t.Errorf("post-reset transition = %+v, want the pre-reset write remembered (RAW=1)", q)
+	}
+}
+
+// Advance lets the bank calendars drop ended bookings without changing a
+// single completion: two LLCs fed the same traffic, one advanced along
+// with it, agree on every service.
+func TestAdvanceDoesNotChangeService(t *testing.T) {
+	//lint:allow nondeterminism fixed seed: the draw only shapes the arrival stream
+	rng := rand.New(rand.NewSource(3))
+	a, b := queueLLC(SNUCA), queueLLC(SNUCA)
+	var now uint64
+	for i := 0; i < 2000; i++ {
+		now += uint64(rng.Intn(20))
+		a.Advance(now)
+		bank, start, write := rng.Intn(4), now+uint64(rng.Intn(300)), rng.Intn(4) == 0
+		if x, y := a.BankService(bank, start, write), b.BankService(bank, start, write); x != y {
+			t.Fatalf("request %d: advanced LLC completes at %d, unadvanced at %d", i, x, y)
+		}
+	}
+	if x, y := a.Stats().Queue, b.Stats().Queue; x != y || x.OutOfOrder == 0 {
+		t.Errorf("queue stats differ or saw no out-of-order arrivals: %+v vs %+v", x, y)
 	}
 }

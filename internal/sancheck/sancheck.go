@@ -2,8 +2,10 @@
 // sanitizer. Building with `-tags simcheck` arms per-package sanCheck*
 // hooks (MESI transition legality and core-bitmask consistency in
 // coherence, per-set occupancy and conservation in cache, flit
-// conservation and latency bounds in noc, bank state-machine legality in
-// dram, wear monotonicity and endurance bounds in rram); without the tag
+// conservation and the latency identity in noc, bank state-machine
+// legality in dram, wear monotonicity and endurance bounds in rram,
+// sorted disjoint bookings and earliest-gap placement in timeline);
+// without the tag
 // the hooks are empty no-ops the compiler erases, which the zero-alloc
 // benchmarks verify. The invariantcall analyzer guarantees every exported
 // state-mutating method in those packages calls its hook, so coverage

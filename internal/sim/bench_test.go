@@ -46,12 +46,14 @@ func BenchmarkWalk(b *testing.B) {
 			}
 			var cycle uint64
 			for i, a := range addrs { // warm the hierarchy
+				s.advance(cycle)
 				s.Load(i&15, 0, a, i&3 == 0, cycle)
 				cycle += 4
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				s.advance(cycle)
 				s.Load(i&15, 0, addrs[i&(n-1)], i&3 == 0, cycle)
 				cycle += 4
 			}
@@ -78,6 +80,10 @@ func BenchmarkSingleSim(b *testing.B) {
 // each core's LLC share, so the measured window continuously exercises LLC
 // evictions and fills, inclusive shootdowns, directory insert/delete churn,
 // dirty write-backs and DRAM row-window turnover, not just upper-level hits.
+// Walks issue open-loop, one every 16 cycles: nearly every one misses to
+// DRAM, and a faster stream would oversubscribe the four channel buses
+// (24 bus cycles per miss), so the reservation calendars' backlog would
+// grow without bound instead of reaching a steady state.
 func TestSteadyStateWalkDoesNotAllocate(t *testing.T) {
 	cfg := DefaultConfig(nuca.ReNUCA)
 	s, err := New(cfg, testApps(cfg.Cores))
@@ -95,22 +101,24 @@ func TestSteadyStateWalkDoesNotAllocate(t *testing.T) {
 	}
 	var cycle uint64
 	for i, a := range addrs { // reach steady state: fills, evictions, wear
+		s.advance(cycle)
 		if i&7 == 0 {
 			s.Store(i&15, 0, a, false, cycle)
 		} else {
 			s.Load(i&15, 0, a, i&3 == 0, cycle)
 		}
-		cycle += 4
+		cycle += 16
 	}
 	before := s.LLC().Stats()
 	i := 0
 	if got := testing.AllocsPerRun(5000, func() {
+		s.advance(cycle)
 		if i&7 == 0 {
 			s.Store(i&15, 0, addrs[i&(n-1)], false, cycle)
 		} else {
 			s.Load(i&15, 0, addrs[i&(n-1)], i&3 == 0, cycle)
 		}
-		cycle += 4
+		cycle += 16
 		i++
 	}); got != 0 {
 		t.Errorf("steady-state walk allocates %v times per op, want 0", got)

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/dram"
 	"repro/internal/energy"
+	"repro/internal/noc"
 	"repro/internal/nuca"
 	"repro/internal/stats"
 )
@@ -63,6 +65,7 @@ func (s *System) Run(instrPerCore uint64) error {
 	remaining := len(s.cores)
 	start := s.cycle
 	for {
+		s.advance(s.cycle)
 		min := halted
 		for i := range s.cores {
 			w := wake[i]
@@ -93,6 +96,17 @@ func (s *System) Run(instrPerCore uint64) error {
 			return s.budgetExceeded(instrPerCore)
 		}
 	}
+}
+
+// advance declares that no request will start before now — cores tick at
+// the current cycle and issue at or after it — so the LLC, NoC and DRAM
+// reservation calendars may drop every booking that has ended.
+//
+//lint:hotpath
+func (s *System) advance(now uint64) {
+	s.llc.Advance(now)
+	s.mesh.Advance(now)
+	s.mem.Advance(now)
 }
 
 // budgetExceeded builds the safety-bound error. It lives outside the hot
@@ -132,11 +146,11 @@ type Result struct {
 	PredictorAccuracy   []float64 // per core
 
 	LLC     nuca.Stats
+	NoC     noc.Stats
+	DRAM    dram.Stats
 	PerCore []CoreCounters
 
-	// BankService is the per-bank read/write service-latency histograms
-	// collected by the bank queue model; nil when the queue model is off,
-	// so legacy snapshots (and their goldens) are unchanged.
+	// BankService is the per-bank read/write service-latency histograms.
 	BankService []nuca.BankServiceStats
 
 	// Energy carries the activity totals for the energy accountant
@@ -150,6 +164,8 @@ func (s *System) Snapshot(instrPerCore uint64) Result {
 		Policy:       s.cfg.LLC.Policy.String(),
 		InstrPerCore: instrPerCore,
 		LLC:          s.llc.Stats(),
+		NoC:          s.mesh.Stats(),
+		DRAM:         s.mem.Stats(),
 		BankService:  s.llc.ServiceStats(),
 	}
 	var lastDone uint64
@@ -203,7 +219,7 @@ func (s *System) Snapshot(instrPerCore uint64) Result {
 		bs := s.llc.BankStats(b)
 		llcReads += bs.ReadHits + bs.ReadMisses
 	}
-	ds, ns := s.mem.Stats(), s.mesh.Stats()
+	ds, ns := r.DRAM, r.NoC
 	r.Energy = energy.Counts{
 		LLCReads:   llcReads,
 		LLCWrites:  s.wear.TotalWrites(),

@@ -7,10 +7,11 @@
 // Timing model. Memory operations are resolved synchronously at dispatch
 // ("latency-oracle" style): the walk consults and mutates every level,
 // charging latencies as it goes, and returns the completion cycle; queueing
-// is modelled by next-free timestamps inside the NoC links, DRAM banks and
-// channel buses. Writes drain through a store buffer and never hold up
-// commit; write-backs and DRAM write traffic are posted but still occupy
-// the shared resources they traverse.
+// is modelled by reservation calendars (package timeline) on the LLC
+// banks, NoC links, DRAM banks and channel buses, which Run advances to
+// the current cycle. Writes drain through a store buffer and never hold
+// up commit; LLC write-backs are posted but still occupy the banks and
+// links they traverse, and DRAM writes are posted into idle slots.
 package sim
 
 import (
