@@ -45,6 +45,60 @@ func TestSuiteGoldenOutput(t *testing.T) {
 	compareGolden(t, "Workers=8", renderSuiteOutputs(t, parallelP), string(want))
 }
 
+// renderContentionOutputs renders the bank-contention study (five
+// policies, op-history counts plus every per-bank service histogram) for the
+// "actual" variant on a fresh Runner, so nothing else has warmed its memo.
+func renderContentionOutputs(t *testing.T, p Params) string {
+	t.Helper()
+	cr, err := NewRunner(p).Contention(mustVariant("actual"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr.Render()
+}
+
+// TestContentionGoldenOutput pins the contention study's rendered op-history
+// counts and per-bank service-latency histograms byte-for-byte, at Workers=1
+// and 8. The study runs alone on a fresh Runner, and its render must also
+// appear verbatim in the suite golden: reading the memoised suite first or
+// not must not change what the calendars report. Regenerate deliberately
+// with go test ./internal/experiments -run ContentionGolden -update.
+func TestContentionGoldenOutput(t *testing.T) {
+	goldenPath := filepath.Join("testdata", "tiny_contention.golden")
+
+	serialP := tinyParams()
+	serialP.Workers = 1
+	got := renderContentionOutputs(t, serialP)
+
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", goldenPath, len(got))
+	}
+
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	compareGolden(t, "Workers=1", got, string(want))
+
+	parallelP := tinyParams()
+	parallelP.Workers = 8
+	compareGolden(t, "Workers=8", renderContentionOutputs(t, parallelP), string(want))
+
+	suite, err := os.ReadFile(filepath.Join("testdata", "tiny_suite.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(suite), string(want)) {
+		t.Error("contention golden is not part of the suite golden: the standalone study and the suite's contention render disagree")
+	}
+}
+
 // compareGolden fails with the first differing line rather than dumping two
 // full renders, so a one-counter drift reads as one line of diff.
 func compareGolden(t *testing.T, label, got, want string) {
