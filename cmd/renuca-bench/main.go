@@ -17,11 +17,13 @@
 // the Runner's singleflight memoisation. Output order and content are
 // identical for every worker count.
 //
-// With -shards N (or RENUCA_SHARDS), the 16-core suite simulations are
-// dispatched to N supervised worker processes (the binary re-executing
+// With -shards N (or RENUCA_SHARDS), every 16-core simulation — the
+// policy suites and the threshold, rotation and write-latency ablations —
+// is dispatched to N supervised worker processes (the binary re-executing
 // itself in its hidden -shard-worker mode) instead of in-process worker
-// goroutines; stdout is byte-identical either way at the same seed.
-// Characterisation runs and sweeps stay in-process.
+// goroutines; stdout is byte-identical either way at the same seed. The
+// single-core characterisation runs and the threshold sweep stay
+// in-process.
 //
 // Scale knobs (environment): RENUCA_INSTR, RENUCA_WARMUP (16-core runs),
 // RENUCA_CHAR_INSTR, RENUCA_CHAR_WARMUP (single-core characterisation),
@@ -30,8 +32,10 @@
 // Hardware knobs (environment, zero/unset = the paper's Table I values):
 // RENUCA_L2, RENUCA_L3BANK (bytes), RENUCA_ROB (entries), RENUCA_THRESHOLD
 // (criticality percent), RENUCA_INTRABANK_WL=1 and RENUCA_WRITE_LAT
-// (cycles). They override every suite the run executes; the Runner folds
-// them into its memo keys so differently-configured runs can never share a
+// (cycles). They override every 16-core simulation the run executes (a
+// study's swept knob keeps its swept values); the single-core
+// characterisation keeps the paper's fixed setup. The Runner folds them
+// into its memo keys so differently-configured runs can never share a
 // cached suite.
 package main
 
@@ -54,7 +58,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	workers := flag.Int("workers", 0, "max concurrent simulations (0 = RENUCA_WORKERS or one per CPU)")
-	shards := flag.Int("shards", 0, "run suite simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
+	shards := flag.Int("shards", 0, "run 16-core simulations on N worker processes (0 = RENUCA_SHARDS or in-process)")
 	shardWorker := flag.Bool("shard-worker", false, "(internal) run as a shard worker: units on stdin, results on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")

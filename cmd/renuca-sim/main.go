@@ -208,11 +208,11 @@ func main() {
 // runAllPolicies simulates the workload under all five NUCA policies and
 // prints a comparison table in the paper's policy order. Each policy is a
 // core.Unit carrying the caller's fully-resolved base Options (same seed
-// and knobs, only the policy varies), executed either on the in-process
-// worker pool or — with shards > 0 — on supervised worker processes via
-// the shard coordinator. Both modes file reports positionally and print
-// the identical table, so they diff clean on stdout (wall-clock and
-// supervision chatter go to stderr). A second table of op-history, waiting
+// and knobs, only the policy varies). One core.UnitRunner executes them:
+// the in-process worker pool or — with shards > 0 — the shard
+// coordinator's supervised worker processes. Both file reports
+// positionally and print the identical table, so they diff clean on
+// stdout (wall-clock and supervision chatter go to stderr). A second table of op-history, waiting
 // and out-of-order totals follows the comparison.
 func runAllPolicies(wlName string, base core.Options, workers, shards int) {
 	policies := nuca.Policies()
@@ -222,8 +222,7 @@ func runAllPolicies(wlName string, base core.Options, workers, shards int) {
 		o.Policy = p
 		units[i] = core.Unit{ID: "all/" + p.String() + "/" + wlName, Workload: wlName, Opts: o}
 	}
-	reports := make([]core.Report, len(units))
-	start := time.Now() //lint:allow nondeterminism banner reports wall-clock; results are seed-pure
+	var exec core.UnitRunner
 	var mode string
 	if shards > 0 {
 		cmdline, err := shard.SelfCommand("-shard-worker")
@@ -231,29 +230,24 @@ func runAllPolicies(wlName string, base core.Options, workers, shards int) {
 			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
 			os.Exit(1)
 		}
-		coord := &shard.Coordinator{
+		exec = &shard.Coordinator{
 			Shards:  shards,
 			Command: cmdline,
 			Log: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
 			},
 		}
-		reps, err := coord.RunUnits(units)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-			os.Exit(1)
-		}
-		copy(reports, reps)
 		mode = fmt.Sprintf("shards=%d", shards)
 	} else {
 		pl := pool.New(pool.DefaultWorkers(workers))
-		reps, err := core.RunUnitsOn(pl, units)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "renuca-sim:", err)
-			os.Exit(1)
-		}
-		copy(reports, reps)
+		exec = core.PoolRunner{Pool: pl}
 		mode = fmt.Sprintf("workers=%d", pl.Size())
+	}
+	start := time.Now() //lint:allow nondeterminism banner reports wall-clock; results are seed-pure
+	reports, err := exec.RunUnits(units)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "renuca-sim:", err)
+		os.Exit(1)
 	}
 
 	fmt.Fprintf(os.Stderr, "# all policies, instr/core=%d %s wall=%s\n",

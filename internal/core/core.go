@@ -254,7 +254,7 @@ func RunSuite(base Options, workloads []workload.Workload) (SuiteReport, error) 
 // seed derived from (base.Seed, workload name), and results are aggregated
 // in workload order, so the report is identical whatever the pool size.
 func RunSuiteOn(pl *pool.Pool, base Options, workloads []workload.Workload) (SuiteReport, error) {
-	reports, err := RunUnitsOn(pl, SuiteUnits("", base, workloads))
+	reports, err := PoolRunner{Pool: pl}.RunUnits(SuiteUnits("", base, workloads))
 	if err != nil {
 		return SuiteReport{}, err
 	}
@@ -308,12 +308,22 @@ func RunUnit(u Unit) (Report, error) {
 	return rep, nil
 }
 
-// RunUnitsOn executes units over the pool, one pool task per unit, and
-// returns their Reports positionally. The first failing unit (lowest index
-// among those observed) aborts the run with its error.
-func RunUnitsOn(pl *pool.Pool, units []Unit) ([]Report, error) {
+// UnitRunner executes a batch of units and returns their Reports
+// positionally: reports[i] is units[i]'s result. PoolRunner runs them in
+// this process; internal/shard's Coordinator runs them on worker
+// processes. Callers pick one and depend only on this contract.
+type UnitRunner interface {
+	RunUnits(units []Unit) ([]Report, error)
+}
+
+// PoolRunner is the in-process UnitRunner: one pool task per unit.
+type PoolRunner struct{ Pool *pool.Pool }
+
+// RunUnits executes units over the pool. The first failing unit (lowest
+// index among those observed) aborts the run with its error.
+func (pr PoolRunner) RunUnits(units []Unit) ([]Report, error) {
 	reports := make([]Report, len(units))
-	err := pl.Map(len(units), func(i int) error {
+	err := pr.Pool.Map(len(units), func(i int) error {
 		rep, err := RunUnit(units[i])
 		if err != nil {
 			return err

@@ -20,28 +20,24 @@ type AblationPoint struct {
 	FallbackHitPct  float64 // share of LLC hits found by the fallback probe
 }
 
-// Ablation sweeps the Re-NUCA criticality threshold on WL1 and also runs
-// the R-NUCA and S-NUCA endpoints for reference (threshold 0 marks them).
-// The thresholds fan out on the Runner's pool; every point shares the same
-// seed so only the threshold varies along the series.
+// Ablation sweeps the Re-NUCA criticality threshold on WL1. Every point
+// shares the same seed so only the threshold varies along the series.
 func (r *Runner) Ablation() ([]AblationPoint, error) {
 	wl := r.workloads()[0]
 	thresholds := []float64{1, 3, 10, 33, 100}
-	out := make([]AblationPoint, len(thresholds))
-	err := r.pool.Map(len(thresholds), func(i int) error {
-		th := thresholds[i]
-		o := core.DefaultOptions(core.ReNUCA)
-		o.InstrPerCore = r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
+	units := make([]core.Unit, len(thresholds))
+	for i, th := range thresholds {
+		o := r.options(core.ReNUCA)
 		o.Apps = wl.Apps
 		o.CriticalityThresholdPct = th
-		r.logf("ablation", "Re-NUCA threshold x=%3.0f%% on %s", th, wl.Name)
-		rep, err := core.Run(o)
-		if err != nil {
-			return fmt.Errorf("ablation x=%v: %w", th, err)
-		}
-		r.sims.Add(1)
+		units[i] = core.Unit{ID: fmt.Sprintf("ablation/x=%g/%s", th, wl.Name), Workload: wl.Name, Opts: o}
+	}
+	reps, err := r.runUnits("ablation", units)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationPoint, len(reps))
+	for i, rep := range reps {
 		critPct := 0.0
 		if rep.LLC.Fills > 0 {
 			critPct = 100 * float64(rep.LLC.CriticalFills) / float64(rep.LLC.Fills)
@@ -51,17 +47,13 @@ func (r *Runner) Ablation() ([]AblationPoint, error) {
 			fbPct = 100 * float64(rep.LLC.FallbackHits) / float64(h)
 		}
 		out[i] = AblationPoint{
-			ThresholdPct:    th,
+			ThresholdPct:    thresholds[i],
 			MeanIPC:         rep.MeanIPC,
 			MinLifetime:     rep.MinLifetime,
 			HMeanLifetime:   stats.HarmonicMean(rep.BankLifetimes),
 			CriticalFillPct: critPct,
 			FallbackHitPct:  fbPct,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -109,31 +101,26 @@ func (r *Runner) RotationAblation() ([]RotationPoint, error) {
 			apps[i] = "xalancbmk"
 		}
 	}
-	out := make([]RotationPoint, 2)
-	err := r.pool.Map(2, func(i int) error {
-		rot := i == 1
-		o := core.DefaultOptions(core.ReNUCA)
+	var units []core.Unit
+	for _, rot := range []bool{false, true} {
+		o := r.options(core.ReNUCA)
 		o.InstrPerCore = 10 * r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
 		o.Apps = apps
 		o.IntraBankWL = rot
-		r.logf("rotation", "intra-bank rotation=%v on omnetpp/xalancbmk mix (%d instr)", rot, o.InstrPerCore)
-		rep, err := core.Run(o)
-		if err != nil {
-			return fmt.Errorf("rotation ablation: %w", err)
-		}
-		r.sims.Add(1)
+		units = append(units, core.Unit{ID: fmt.Sprintf("rotation/%v", rot), Workload: "omnetpp-xalancbmk", Opts: o})
+	}
+	reps, err := r.runUnits("rotation", units)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]RotationPoint, len(reps))
+	for i, rep := range reps {
 		out[i] = RotationPoint{
-			Rotation:        rot,
+			Rotation:        units[i].Opts.IntraBankWL,
 			MinCapacity:     rep.MinLifetime,
 			MinFirstFailure: rep.MinFirstFailure(),
 			MeanIPC:         rep.MeanIPC,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -165,37 +152,32 @@ type WriteLatencyPoint struct {
 }
 
 // WriteLatencyAblation sweeps the ReRAM write latency on WL1 for R-NUCA
-// and Re-NUCA; the six (latency, policy) combinations fan out on the pool.
+// and Re-NUCA: six (latency, policy) units in one batch.
 func (r *Runner) WriteLatencyAblation() ([]WriteLatencyPoint, error) {
 	wl := r.workloads()[0]
 	latencies := []uint32{100, 200, 400}
 	policies := []core.Policy{core.RNUCA, core.ReNUCA}
-	out := make([]WriteLatencyPoint, len(latencies)*len(policies))
-	err := r.pool.Map(len(out), func(i int) error {
-		wlat := latencies[i/len(policies)]
-		p := policies[i%len(policies)]
-		o := core.DefaultOptions(p)
-		o.InstrPerCore = r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
-		o.Apps = wl.Apps
-		o.ReRAMWriteLatency = wlat
-		r.logf("writelat", "ReRAM write latency %d cycles, %s", wlat, p)
-		rep, err := core.Run(o)
-		if err != nil {
-			return fmt.Errorf("write-latency ablation: %w", err)
+	units := make([]core.Unit, 0, len(latencies)*len(policies))
+	for _, wlat := range latencies {
+		for _, p := range policies {
+			o := r.options(p)
+			o.Apps = wl.Apps
+			o.ReRAMWriteLatency = wlat
+			units = append(units, core.Unit{ID: fmt.Sprintf("writelat/%d/%s/%s", wlat, p, wl.Name), Workload: wl.Name, Opts: o})
 		}
-		r.sims.Add(1)
+	}
+	reps, err := r.runUnits("writelat", units)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]WriteLatencyPoint, len(reps))
+	for i, rep := range reps {
 		out[i] = WriteLatencyPoint{
-			WriteLatency: wlat,
+			WriteLatency: units[i].Opts.ReRAMWriteLatency,
 			Policy:       rep.Policy,
 			MeanIPC:      rep.MeanIPC,
 			MinLifetime:  rep.MinLifetime,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -17,37 +17,25 @@ type EnergyPoint struct {
 // EnergyStudy estimates the LLC/DRAM/NoC energy of each NUCA policy on WL1
 // under both LLC technologies — the paper's Section I motivation ("standby
 // power is up to 80% of total" for SRAM LLCs; ReRAM's near-zero standby is
-// why its endurance problem is worth solving).
+// why its endurance problem is worth solving). It simulates nothing: it
+// reads WL1's reports from the memoised "actual" suite, the very runs
+// Figure 4 reports, and the technology comparison is post-processing of
+// each run (SRAM at slot 2i, ReRAM at 2i+1).
 func (r *Runner) EnergyStudy() ([]EnergyPoint, error) {
-	wl := r.workloads()[0]
-	policies := core.Policies()
-	out := make([]EnergyPoint, 2*len(policies))
-	err := r.pool.Map(len(policies), func(i int) error {
-		p := policies[i]
-		o := core.DefaultOptions(p)
-		o.InstrPerCore = r.P.InstrPerCore
-		o.Warmup = r.P.Warmup
-		o.Seed = r.P.Seed
-		o.Apps = wl.Apps
-		r.logf("energy", "energy study: %s on %s", p, wl.Name)
-		rep, err := core.Run(o)
-		if err != nil {
-			return fmt.Errorf("energy study %s: %w", p, err)
-		}
-		r.sims.Add(1)
-		// Technology comparison is post-processing of the same run: SRAM
-		// at slot 2i, ReRAM at 2i+1, matching the serial ordering.
-		for t, tech := range []energy.Technology{energy.SRAM(), energy.ReRAM()} {
-			b, err := energy.Estimate(tech, rep.Energy)
-			if err != nil {
-				return err
-			}
-			out[2*i+t] = EnergyPoint{Policy: rep.Policy, Breakdown: b}
-		}
-		return nil
-	})
+	set, err := r.suiteSet(mustVariant("actual"))
 	if err != nil {
 		return nil, err
+	}
+	var out []EnergyPoint
+	for _, p := range core.Policies() {
+		rep := set[p.String()].Reports[0] // WL1: reports are in workload order
+		for _, tech := range []energy.Technology{energy.SRAM(), energy.ReRAM()} {
+			b, err := energy.Estimate(tech, rep.Energy)
+			if err != nil {
+				return nil, fmt.Errorf("energy study %s: %w", p, err)
+			}
+			out = append(out, EnergyPoint{Policy: rep.Policy, Breakdown: b})
+		}
 	}
 	return out, nil
 }

@@ -42,10 +42,10 @@ type Params struct {
 	// Results are byte-identical for every worker count.
 	Workers int //lint:allow optflow concurrency cap only: byte-identical results for every worker count, never reaches Options
 	// The remaining fields override the corresponding core.Options
-	// hardware knobs in every suite the Runner executes (zero = keep the
-	// paper's Table I configuration). They are applied by policyOptions
-	// before the variant's own modification, so a Table III variant still
-	// wins for the cell it defines.
+	// hardware knobs in every 16-core simulation the Runner executes
+	// (zero = keep the paper's Table I configuration). Runner.options
+	// applies them; a Table III variant's modification and a study's
+	// swept knob still win for the value they define.
 	L2Bytes                 uint64
 	L3BankBytes             uint64
 	ROBEntries              int
@@ -157,13 +157,13 @@ type Runner struct {
 	// serialises calls and prefixes each line with the suite key that
 	// produced it.
 	Log func(format string, args ...any)
-	// Exec, when non-nil, executes suite units out-of-process (the shard
-	// coordinator implements it). Suite simulations are then dispatched as
-	// one flat unit batch per variant instead of through the in-process
-	// pool; either path files every Report positionally and aggregates
-	// through core.AggregateSuite, so the suites are byte-identical.
-	// Characterisation runs and sweeps stay in-process either way.
-	Exec UnitRunner
+	// Exec executes every 16-core simulation the Runner's experiments
+	// dispatch: the policy suites and the ablation studies. NewRunner sets
+	// it to a core.PoolRunner over the Runner's pool; the shard coordinator
+	// may replace it. Every Report files positionally, so the output is
+	// byte-identical whichever runs the units. Single-core
+	// characterisation runs and the threshold sweep stay on the pool.
+	Exec core.UnitRunner
 
 	logMu sync.Mutex
 	pool  *pool.Pool
@@ -176,7 +176,8 @@ type Runner struct {
 
 // NewRunner builds a Runner with the given parameters.
 func NewRunner(p Params) *Runner {
-	return &Runner{P: p, pool: pool.New(pool.DefaultWorkers(p.Workers))}
+	pl := pool.New(pool.DefaultWorkers(p.Workers))
+	return &Runner{P: p, Exec: core.PoolRunner{Pool: pl}, pool: pl}
 }
 
 // Workers returns the size of the Runner's simulation pool.
@@ -202,39 +203,52 @@ func (r *Runner) logf(key, format string, args ...any) {
 // workloads returns the standard WL1..WL10.
 func (r *Runner) workloads() []workload.Workload { return core.StandardWorkloads() }
 
-// UnitRunner executes a batch of suite units and returns their Reports
-// positionally: reports[i] is units[i]'s result. internal/shard's
-// Coordinator is the production implementation; the interface lives here
-// so the experiment layer depends only on the contract, not on process
-// management.
-type UnitRunner interface {
-	RunUnits(units []core.Unit) ([]core.Report, error)
-}
-
-// policyOptions resolves the complete Options for one (variant, policy)
-// cell — scale parameters, the derived per-variant seed, then the
-// variant's modification. It is the single source of suite configuration
-// for both the in-process and the sharded execution paths; the
-// per-workload seed derivation on top of it happens in core.SuiteUnits
-// either way. The seed leaves the policy out, so every policy of a
-// variant runs the same instruction streams and policy comparisons are
-// paired; the policy still names the cell's memo entry and unit IDs.
-func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
+// options resolves the Options every 16-core experiment simulation starts
+// from: the policy, the measured windows, r.P.Seed and the hardware knob
+// overrides (zero = Table I default, matching the Options zero value, so
+// copying unconditionally changes nothing at default scale). Callers then
+// set the apps and whatever their study sweeps.
+func (r *Runner) options(p core.Policy) core.Options {
 	o := core.DefaultOptions(p)
 	o.InstrPerCore = r.P.InstrPerCore
 	o.Warmup = r.P.Warmup
-	o.Seed = core.DeriveSeed(r.P.Seed, v.Key)
-	// Hardware knob overrides (zero = Table I default, matching the
-	// Options zero value, so copying unconditionally changes nothing at
-	// default scale). The variant's own modification runs last and wins.
+	o.Seed = r.P.Seed
 	o.L2Bytes = r.P.L2Bytes
 	o.L3BankBytes = r.P.L3BankBytes
 	o.ROBEntries = r.P.ROBEntries
 	o.CriticalityThresholdPct = r.P.CriticalityThresholdPct
 	o.IntraBankWL = r.P.IntraBankWL
 	o.ReRAMWriteLatency = r.P.ReRAMWriteLatency
+	return o
+}
+
+// policyOptions resolves the complete Options for one (variant, policy)
+// suite cell: r.options with the seed derived per variant, then the
+// variant's modification, which wins over the overrides. The
+// per-workload seed derivation on top of it happens in core.SuiteUnits.
+// The seed leaves the policy out, so every policy of a variant runs the
+// same instruction streams and policy comparisons are paired; the policy
+// still names the cell's memo entry and unit IDs.
+func (r *Runner) policyOptions(v Variant, p core.Policy) core.Options {
+	o := r.options(p)
+	o.Seed = core.DeriveSeed(r.P.Seed, v.Key)
 	v.Mod(&o)
 	return o
+}
+
+// runUnits dispatches one flat unit batch through r.Exec and counts its
+// simulations. key names the study in progress lines and errors.
+func (r *Runner) runUnits(key string, units []core.Unit) ([]core.Report, error) {
+	r.logf(key, "dispatching %d units", len(units))
+	reps, err := r.Exec.RunUnits(units)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", key, err)
+	}
+	if len(reps) != len(units) {
+		return nil, fmt.Errorf("%s: unit runner returned %d reports for %d units", key, len(reps), len(units))
+	}
+	r.sims.Add(uint64(len(reps)))
+	return reps, nil
 }
 
 // memoKey folds every result-affecting Params field into a Flight memo
@@ -253,68 +267,27 @@ func (r *Runner) memoKey(base string) string {
 		p.CriticalityThresholdPct, p.IntraBankWL, p.ReRAMWriteLatency)
 }
 
-// suiteSet runs (or returns the memoised) five-policy suite for a variant.
-// The five policies fan out concurrently; each policy's ten workloads fan
-// out inside core.RunSuiteOn as per-unit pool tasks. All leaf simulations
-// gate on the shared pool, and every result lands at its (policy, workload)
-// position, so the suite is identical for any worker count. With Exec set,
-// the same units ship to worker processes instead — same positions, same
-// aggregation, same bytes.
+// suiteSet runs (or returns the memoised) five-policy suite for a variant:
+// one flat batch of every policy's ten workload units through r.Exec, then
+// each policy's slice of the positional reports folds through
+// core.AggregateSuite. Every result lands at its (policy, workload)
+// position, so the suite is identical for any worker or shard count.
 func (r *Runner) suiteSet(v Variant) (map[string]core.SuiteReport, error) {
 	return r.suiteFlight.Do(r.memoKey(v.Key), func() (map[string]core.SuiteReport, error) {
 		policies := core.Policies()
-		reports := make([]core.SuiteReport, len(policies))
-		var err error
-		if r.Exec != nil {
-			err = r.suiteSetSharded(v, policies, reports)
-		} else {
-			// One coordinator per policy: pool.Coordinate holds no pool slot
-			// while the workload simulations queue, so nesting cannot deadlock.
-			err = pool.Coordinate(len(policies), func(i int) error {
-				p := policies[i]
-				o := r.policyOptions(v, p)
-				r.logf(v.Key, "policy %-8s (10 workloads x %d instr/core)", p, o.InstrPerCore)
-				sr, err := core.RunSuiteOn(r.pool, o, r.workloads())
-				if err != nil {
-					return fmt.Errorf("variant %s: %w", v.Key, err)
-				}
-				r.sims.Add(uint64(len(sr.Reports)))
-				reports[i] = sr
-				return nil
-			})
+		wls := r.workloads()
+		units := make([]core.Unit, 0, len(policies)*len(wls))
+		for _, p := range policies {
+			units = append(units, core.SuiteUnits(v.Key, r.policyOptions(v, p), wls)...)
 		}
+		reps, err := r.runUnits(v.Key, units)
 		if err != nil {
 			return nil, err
 		}
 		set := make(map[string]core.SuiteReport, len(policies))
 		for i, p := range policies {
-			set[p.String()] = reports[i]
+			set[p.String()] = core.AggregateSuite(p.String(), reps[i*len(wls):(i+1)*len(wls)])
 		}
 		return set, nil
 	})
-}
-
-// suiteSetSharded dispatches a variant's full policy-cross-workload unit
-// batch to r.Exec in one flat slice, then slices the positional reports
-// back per policy and aggregates each through core.AggregateSuite — the
-// identical fold the in-process path uses.
-func (r *Runner) suiteSetSharded(v Variant, policies []core.Policy, out []core.SuiteReport) error {
-	wls := r.workloads()
-	units := make([]core.Unit, 0, len(policies)*len(wls))
-	for _, p := range policies {
-		units = append(units, core.SuiteUnits(v.Key, r.policyOptions(v, p), wls)...)
-	}
-	r.logf(v.Key, "dispatching %d units (%d policies x %d workloads) to the shard runner", len(units), len(policies), len(wls))
-	reps, err := r.Exec.RunUnits(units)
-	if err != nil {
-		return fmt.Errorf("variant %s: %w", v.Key, err)
-	}
-	if len(reps) != len(units) {
-		return fmt.Errorf("variant %s: shard runner returned %d reports for %d units", v.Key, len(reps), len(units))
-	}
-	r.sims.Add(uint64(len(reps)))
-	for i, p := range policies {
-		out[i] = core.AggregateSuite(p.String(), reps[i*len(wls):(i+1)*len(wls)])
-	}
-	return nil
 }

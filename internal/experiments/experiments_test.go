@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 )
 
 // tinyParams keeps experiment tests fast; shapes and plumbing are what is
@@ -291,11 +293,23 @@ func TestAblation(t *testing.T) {
 	}
 }
 
+// TestEnergyStudy also pins that the study simulates nothing of its own:
+// once the "actual" suite has run it adds no simulation, and its rows are
+// energy.Estimate over that suite's WL1 reports, SRAM then ReRAM for each
+// policy.
 func TestEnergyStudy(t *testing.T) {
 	r := NewRunner(tinyParams())
+	v := mustVariant("actual")
+	if _, err := r.Lifetime(v); err != nil {
+		t.Fatal(err)
+	}
+	sims := r.Sims()
 	pts, err := r.EnergyStudy()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if added := r.Sims() - sims; added != 0 {
+		t.Errorf("energy study ran %d simulations after the actual suite, want 0", added)
 	}
 	if len(pts) != 10 { // 5 policies x 2 technologies
 		t.Fatalf("%d energy points, want 10", len(pts))
@@ -315,8 +329,107 @@ func TestEnergyStudy(t *testing.T) {
 			t.Errorf("%s: ReRAM LLC energy should undercut SRAM", pts[i].Policy)
 		}
 	}
+	set, err := r.suiteSet(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []EnergyPoint
+	for _, p := range core.Policies() {
+		rep := set[p.String()].Reports[0]
+		if rep.Workload != "WL1" {
+			t.Fatalf("%s: first suite report is %s, want WL1", p, rep.Workload)
+		}
+		for _, tech := range []energy.Technology{energy.SRAM(), energy.ReRAM()} {
+			b, err := energy.Estimate(tech, rep.Energy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, EnergyPoint{Policy: p.String(), Breakdown: b})
+		}
+	}
+	if !reflect.DeepEqual(pts, want) {
+		t.Errorf("energy rows are not the actual suite's WL1 runs:\ngot  %+v\nwant %+v", pts, want)
+	}
 	if !strings.Contains(RenderEnergyStudy(pts), "leak share") {
 		t.Error("energy render incomplete")
+	}
+}
+
+// recordingRunner is a core.UnitRunner that records the units it is handed
+// and answers each with a placeholder report, so a test can inspect what a
+// study dispatches without simulating it.
+type recordingRunner struct{ units []core.Unit }
+
+func (rr *recordingRunner) RunUnits(units []core.Unit) ([]core.Report, error) {
+	rr.units = append(rr.units, units...)
+	reps := make([]core.Report, len(units))
+	for i := range reps {
+		reps[i].FirstFailureLifetimes = []float64{1}
+	}
+	return reps, nil
+}
+
+// TestStudiesHonourHardwareOverrides is the regression test for studies
+// that built their Options by hand and dropped the Params hardware
+// overrides: each override, set alone, must reach every unit the threshold,
+// rotation and write-latency studies dispatch through Runner.Exec, and
+// change nothing else, except that the field a study sweeps keeps its
+// swept value.
+func TestStudiesHonourHardwareOverrides(t *testing.T) {
+	studies := []struct {
+		name, swept string
+		run         func(*Runner) error
+	}{
+		{"ablation", "CriticalityThresholdPct", func(r *Runner) error { _, err := r.Ablation(); return err }},
+		{"rotation", "IntraBankWL", func(r *Runner) error { _, err := r.RotationAblation(); return err }},
+		{"writelat", "ReRAMWriteLatency", func(r *Runner) error { _, err := r.WriteLatencyAblation(); return err }},
+	}
+	overrides := []struct {
+		field string
+		value any
+	}{
+		{"L2Bytes", uint64(128 << 10)},
+		{"L3BankBytes", uint64(1 << 20)},
+		{"ROBEntries", 168},
+		{"CriticalityThresholdPct", 7.0},
+		{"IntraBankWL", true},
+		{"ReRAMWriteLatency", uint32(300)},
+	}
+	set := func(dst any, field string, value any) {
+		reflect.ValueOf(dst).Elem().FieldByName(field).Set(reflect.ValueOf(value))
+	}
+	dispatch := func(p Params, run func(*Runner) error) []core.Unit {
+		r := NewRunner(p)
+		rec := &recordingRunner{}
+		r.Exec = rec
+		if err := run(r); err != nil {
+			t.Fatal(err)
+		}
+		return rec.units
+	}
+	for _, st := range studies {
+		base := dispatch(tinyParams(), st.run)
+		if len(base) == 0 {
+			t.Errorf("%s dispatched no units through Runner.Exec", st.name)
+			continue
+		}
+		for _, ov := range overrides {
+			p := tinyParams()
+			set(&p, ov.field, ov.value)
+			got := dispatch(p, st.run)
+			if len(got) != len(base) {
+				t.Fatalf("%s with %s set: %d units, want %d", st.name, ov.field, len(got), len(base))
+			}
+			for i, u := range got {
+				want := base[i].Opts
+				if ov.field != st.swept {
+					set(&want, ov.field, ov.value)
+				}
+				if !reflect.DeepEqual(u.Opts, want) {
+					t.Errorf("%s with %s=%v: unit %s runs\n%+v\nwant\n%+v", st.name, ov.field, ov.value, u.ID, u.Opts, want)
+				}
+			}
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func (r *Runner) Lifetime(v Variant) (LifetimeResult, error) {
 	return res, nil
 }
 
-// paperFig3RawMins is Table III verbatim (raw minimum lifetimes in years).
+// paperTable3 is Table III verbatim (raw minimum lifetimes in years).
 var paperTable3 = map[string]map[string]float64{
 	"actual":  {"Naive": 4.95, "S-NUCA": 3.37, "Re-NUCA": 3.24, "R-NUCA": 2.38, "Private": 2.32},
 	"l2-128":  {"Naive": 7.14, "S-NUCA": 3.9, "Re-NUCA": 3.09, "R-NUCA": 2.31, "Private": 2.31},

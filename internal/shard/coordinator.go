@@ -19,9 +19,8 @@ import (
 // Coordinator fans a batch of suite units out over worker processes and
 // supervises them: per-unit timeout, bounded re-dispatch of units stranded
 // by a worker death, prefixed stderr relay, and merged worker accounting.
-// It implements the experiment layer's UnitRunner contract — reports come
-// back positionally, one per unit, so aggregation downstream is identical
-// to the in-process pool path.
+// It implements core.UnitRunner — reports come back positionally, one per
+// unit, so aggregation downstream is identical to core.PoolRunner's.
 type Coordinator struct {
 	// Shards is how many worker processes to run (min 1, capped at the
 	// number of units).

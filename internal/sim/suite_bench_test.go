@@ -34,10 +34,10 @@ func BenchmarkSuiteThroughput(b *testing.B) {
 	units := suiteBenchUnits(b)
 	run := func(b *testing.B, workers int) {
 		b.Helper()
-		pl := pool.New(workers)
+		exec := core.PoolRunner{Pool: pool.New(workers)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunUnitsOn(pl, units); err != nil {
+			if _, err := exec.RunUnits(units); err != nil {
 				b.Fatal(err)
 			}
 		}
